@@ -52,10 +52,6 @@ SQRT_PI = math.sqrt(math.pi)
 Pair = tuple[complex, complex]
 
 
-def pair_const(c) -> Pair:
-    return (as_complex(c), 0j)
-
-
 def pair_var(x) -> Pair:
     return (as_complex(x), 1.0 + 0j)
 
@@ -78,10 +74,6 @@ def pair_mul(*ps: Pair) -> Pair:
     for (v2, d2) in ps[1:]:
         v, d = v * v2, d * v2 + v * d2
     return (v, d)
-
-
-def pair_div(u: Pair, v: Pair) -> Pair:
-    return (u[0] / v[0], (u[1] * v[0] - u[0] * v[1]) / (v[0] * v[0]))
 
 
 def pair_exp(p: Pair) -> Pair:

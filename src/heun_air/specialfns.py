@@ -14,11 +14,16 @@ context. The default context is double precision (builtin complex, Lanczos
 gamma). Kernels track a running cancellation estimate — the peak magnitude
 reached by partial sums/terms divided by the final magnitude. When the
 estimate exceeds CANCEL_LIMIT (so double precision could not deliver ~1e-13
-relative accuracy), the same kernel is re-run on mpmath scalars at a working
-precision chosen from the estimate. Series termination in the double context
-follows the fixed rule: stop once |term| < 1e-16 |sum| three consecutive
-times, with a hard cap of MAX_TERMS_DEFAULT terms (override via the
-HEUN_AIR_MAX_TERMS environment variable).
+relative accuracy), the kernel is re-run on mpmath scalars at a working
+precision chosen from the estimate, in a private mpmath context per thread.
+There the series, erf and the incomplete gamma are mpmath's own fixed-point
+evaluators, which detect their own cancellation and raise their own
+precision, so they report a cancellation of 1; the outer combinations (the U
+connection formula, the Kummer and Euler transformations, the B_x prefactor)
+still estimate theirs. Series termination in the double context follows the
+fixed rule: stop once |term| < 1e-16 |sum| three consecutive times, with a
+hard cap of MAX_TERMS_DEFAULT terms (override via the HEUN_AIR_MAX_TERMS
+environment variable).
 
 Branches: all fractional powers and logarithms are principal, arg in
 (-pi, pi], defined on the negative real axis and continuous from above (the
@@ -30,9 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from dataclasses import dataclass
 
-import mpmath as mp
+import mpmath
+from mpmath.libmp import NoConvergence
 
 from .errors import (BranchError, ConvergenceError, DomainError,
                      NonFiniteError, ParamError, PoleError)
@@ -119,14 +126,17 @@ def gamma(z) -> complex:
         # sin(pi z) in the reflection below is never exactly zero in floating
         # point, and within 1e-9 of a pole the result has no usable accuracy
         raise PoleError(f"gamma pole at {z!r}")
-    if z.real < 0.5:
-        return cmath.pi / (cmath.sin(cmath.pi * z) * gamma(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    try:
+        if z.real < 0.5:
+            return cmath.pi / (cmath.sin(cmath.pi * z) * gamma(1.0 - z))
+        zz = z - 1.0
+        acc = _LANCZOS_COEF[0]
+        for i in range(1, len(_LANCZOS_COEF)):
+            acc += _LANCZOS_COEF[i] / (zz + i)
+        t = zz + _LANCZOS_G + 0.5
+        return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        raise NonFiniteError(f"gamma({z!r}) overflows in double precision") from None
 
 
 def rgamma(z) -> complex:
@@ -135,7 +145,10 @@ def rgamma(z) -> complex:
     if near_nonpositive_integer(z):
         return 0j
     if z.real < 0.5:
-        return cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
+        try:
+            return cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
+        except OverflowError:
+            raise NonFiniteError(f"rgamma({z!r}) overflows in double precision") from None
     return 1.0 / gamma(z)
 
 
@@ -178,7 +191,6 @@ class _DoubleCtx:
         return complex(z).real
 
     exp = staticmethod(cmath.exp)
-    sin = staticmethod(cmath.sin)
     pi = math.pi
 
     @staticmethod
@@ -194,19 +206,23 @@ class _DoubleCtx:
 
 
 class _MpCtx:
-    """mpmath scalar context; must run under mp.workdps(self.dps)."""
+    """mpmath scalar context on a private mpmath.MPContext, so that a rerun
+    never changes the global mpmath.mp precision. Not thread-safe: use one
+    instance per thread (_mp_ctx)."""
 
     hp = True
 
-    def __init__(self, dps: int):
-        self.dps = dps
-        self.eps = mp.mpf(10) ** (4 - dps)
-        self.tiny = mp.mpf(10) ** (-4 * dps)
-        self.pi = mp.pi
+    def __init__(self):
+        m = self._m = mpmath.MPContext()
+        self.c = m.mpc
+        self.exp, self.gamma, self.rgamma = m.exp, m.gamma, m.rgamma
+        self.hyp0f1, self.hyp1f1, self.hyp2f1 = m.hyp0f1, m.hyp1f1, m.hyp2f1
+        self.erf, self.gammainc = m.erf, m.gammainc
+        self.finite = m.isfinite
 
-    @staticmethod
-    def c(z):
-        return mp.mpc(z)
+    def set_dps(self, dps: int) -> None:
+        self._m.dps = dps
+        self.tiny = self._m.mpf(10) ** (-4 * dps)
 
     @staticmethod
     def mag(z):
@@ -214,32 +230,33 @@ class _MpCtx:
 
     @staticmethod
     def re(z) -> float:
-        return float(mp.re(z))
+        return float(z.real)
 
-    exp = staticmethod(mp.exp)
-    sin = staticmethod(mp.sin)
-
-    @staticmethod
-    def power(z, w):
-        z = mp.mpc(z)
-        w = mp.mpc(w)
+    def power(self, z, w):
+        m = self._m
+        z = m.mpc(z)
+        w = m.mpc(w)
         if z == 0:
             if w == 0:
-                return mp.mpc(1)
-            if mp.re(w) > 0:
-                return mp.mpc(0)
+                return m.mpc(1)
+            if w.real > 0:
+                return m.mpc(0)
             raise DomainError(f"0 raised to power {w!r} with nonpositive real part")
-        return mp.exp(w * mp.log(z))
-
-    gamma = staticmethod(mp.gamma)
-    rgamma = staticmethod(mp.rgamma)
-
-    @staticmethod
-    def finite(z) -> bool:
-        return mp.isfinite(z)
+        return m.exp(w * m.log(z))
 
 
 _DOUBLE = _DoubleCtx()
+_local = threading.local()
+
+
+def _mp_ctx(dps: int) -> _MpCtx:
+    """This thread's mpmath context, set to dps digits. Created once per
+    thread: building an mpmath.MPContext costs about a millisecond."""
+    ctx = getattr(_local, "ctx", None)
+    if ctx is None:
+        ctx = _local.ctx = _MpCtx()
+    ctx.set_dps(dps)
+    return ctx
 
 
 def _export_cancel(peak, mag_final, ctx) -> float:
@@ -261,15 +278,17 @@ def _guarded(kernel, *args) -> complex:
         return value
     dps = min(180, 26 + int(math.log10(max(cancel, 1.0))) + 6)
     for _ in range(3):
-        with mp.workdps(dps):
-            ctx = _MpCtx(dps)
+        ctx = _mp_ctx(dps)
+        try:
             v, cancel = kernel(ctx, *args)
-            ok = ctx.finite(v) and cancel < 10.0 ** (dps - 20)
-            if ok:
-                try:
-                    return complex(v)
-                except OverflowError:
-                    raise NonFiniteError("function value overflows double precision")
+        except NoConvergence as e:
+            raise ConvergenceError(f"extended-precision evaluation: {e}") from None
+        ok = ctx.finite(v) and cancel < 10.0 ** (dps - 20)
+        if ok:
+            try:
+                return complex(v)
+            except OverflowError:
+                raise NonFiniteError("function value overflows double precision")
         dps = min(340, max(2 * dps, int(26 + math.log10(max(cancel, 1.0))) + 10))
     raise ConvergenceError("extended-precision evaluation failed to stabilize")
 
@@ -281,6 +300,8 @@ def _guarded(kernel, *args) -> complex:
 def _k_1f1_series(ctx, a, b, z):
     """Kummer series sum_n (a)_n/(b)_n z^n/n!; returns (sum, cancel)."""
     a, b, z = ctx.c(a), ctx.c(b), ctx.c(z)
+    if ctx.hp:
+        return ctx.hyp1f1(a, b, z), 1.0
     term = ctx.c(1)
     s = ctx.c(1)
     peak = ctx.mag(s)
@@ -329,6 +350,8 @@ def _k_kummer_u(ctx, a, b, z):
 
 def _k_2f1_series(ctx, a, b, c, z):
     a, b, c, z = ctx.c(a), ctx.c(b), ctx.c(c), ctx.c(z)
+    if ctx.hp:
+        return ctx.hyp2f1(a, b, c, z), 1.0
     term = ctx.c(1)
     s = ctx.c(1)
     peak = ctx.mag(s)
@@ -368,6 +391,8 @@ def _k_2f1(ctx, a, b, c, z):
 
 def _k_0f1(ctx, b, z):
     b, z = ctx.c(b), ctx.c(z)
+    if ctx.hp:
+        return ctx.hyp0f1(b, z), 1.0
     term = ctx.c(1)
     s = ctx.c(1)
     peak = ctx.mag(s)
@@ -455,6 +480,8 @@ def _k_erf(ctx, z):
     """erf kernel: power series for |z| <= 3 and near the imaginary axis,
     continued fraction on erfc elsewhere; returns (value, cancel)."""
     z = ctx.c(z)
+    if ctx.hp:
+        return ctx.erf(z), 1.0
     az = ctx.mag(z)
     if az <= 3.0 or abs(ctx.re(z)) < az / 4:
         return _k_erf_series(ctx, z)
@@ -502,6 +529,8 @@ def _k_igam_upper(ctx, a, z):
     """Upper incomplete gamma; complement series for small/left-plane z,
     continued fraction for large right-plane z; returns (value, cancel)."""
     a, z = ctx.c(a), ctx.c(z)
+    if ctx.hp:
+        return ctx.gammainc(a, z), 1.0
     az = ctx.mag(z)
     if ctx.re(z) > 0 and az >= max(6.0, abs(complex(a)) + 2.0):
         return _k_igam_upper_cf(ctx, a, z)

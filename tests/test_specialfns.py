@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import pytest
 
 from conftest import fd_derivative, rel_err, rng
@@ -16,6 +19,7 @@ from heun_air import (
     BranchError,
     ConvergenceError,
     DomainError,
+    NonFiniteError,
     ParamError,
     PoleError,
     erf_like,
@@ -28,7 +32,9 @@ from heun_air import (
     kummer_u,
     whittaker,
 )
+from heun_air import specialfns
 from heun_air.specialfns import (
+    CANCEL_LIMIT,
     ENV_MAX_TERMS,
     MAX_TERMS_DEFAULT,
     max_terms,
@@ -78,6 +84,12 @@ def test_gamma_poles():
     assert rgamma(0.0) == 0
     assert rgamma(-3.0) == 0
     assert_close(rgamma(0.5), 1 / 1.7724538509055160)
+
+
+def test_gamma_overflow_is_typed():
+    for z in (172.0, -170.3 + 0.5j):
+        with pytest.raises(NonFiniteError):
+            gamma(z)
 
 
 def test_gamma_reflection_random():
@@ -546,3 +558,68 @@ def test_max_terms_rejects_garbage(monkeypatch):
         monkeypatch.setenv(ENV_MAX_TERMS, bad)
         with pytest.raises(ParamError):
             hyp1f1(0.5, 1.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# extended-precision rerun (double-path cancellation above CANCEL_LIMIT)
+# ---------------------------------------------------------------------------
+
+#: Independent oracle: mpmath at 40 digits, in a context of its own.
+_MP40 = mpmath.MPContext()
+_MP40.dps = 40
+
+#: (public function, kernel, arguments, mpmath oracle, tolerance); each
+#: kernel's double-path cancellation estimate exceeds CANCEL_LIMIT.
+RERUN_CASES = [
+    (kummer_u, specialfns._k_kummer_u, (0.7, 0.3, 8.0), _MP40.hyperu,
+     U_ORACLE_REL_TOL),
+    (kummer_u, specialfns._k_kummer_u, (0.5 + 0.5j, 1.25, 6.0 + 2.0j),
+     _MP40.hyperu, U_ORACLE_REL_TOL),
+    (hyp2f1, specialfns._k_2f1, (-3.2, 1.1, -6.2, 0.75), _MP40.hyp2f1,
+     ORACLE_REL_TOL),
+    (inc_gamma_upper, specialfns._k_igam_upper, (0.3, -10.0), _MP40.gammainc,
+     ORACLE_REL_TOL),
+    (inc_gamma_upper, specialfns._k_igam_upper, (0.5 + 0.5j, -8.0),
+     _MP40.gammainc, ORACLE_REL_TOL),
+    (inc_beta, specialfns._k_inc_beta, (0.8, -8.5, 5.0),
+     lambda x, a, b: _MP40.betainc(a, b, 0, x), ORACLE_REL_TOL),
+]
+
+
+@pytest.mark.parametrize("fn, kernel, args, oracle, tol", RERUN_CASES,
+                         ids=[f"{c[0].__name__}{c[2]}" for c in RERUN_CASES])
+def test_rerun_matches_oracle(fn, kernel, args, oracle, tol):
+    _, cancel = kernel(specialfns._DOUBLE, *args)
+    assert cancel > CANCEL_LIMIT  # the double path hands over to mpmath
+    assert_close(fn(*args).value, complex(oracle(*args)), tol)
+
+
+def test_rerun_kummer_u_derivative_matches_oracle():
+    a, b, z = 0.7, 0.3, 8.0
+    _, cancel = specialfns._k_kummer_u(specialfns._DOUBLE, a + 1, b + 1, z)
+    assert cancel > CANCEL_LIMIT
+    assert_close(kummer_u(a, b, z).derivative,
+                 complex(-a * _MP40.hyperu(a + 1, b + 1, z)), U_ORACLE_REL_TOL)
+
+
+def test_rerun_leaves_global_mpmath_precision_alone_under_threads():
+    calls = [(fn, args) for fn, _, args, _, _ in RERUN_CASES] * 4
+    want = [fn(*args).value for fn, args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' reruns
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda c: c[0](*c[1]).value, calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert mpmath.mp.dps == 15
+    assert got == want
+
+
+def test_rerun_no_convergence_is_typed(monkeypatch):
+    def refuse(*args):
+        raise mpmath.libmp.NoConvergence("refused")
+    ctx = specialfns._mp_ctx(30)  # this thread's rerun context
+    monkeypatch.setattr(ctx, "hyp1f1", refuse)
+    with pytest.raises(ConvergenceError):
+        kummer_u(0.7, 0.3, 8.0)
