@@ -22,8 +22,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import HeunAirError, SchemaError
-from .forms import (BHEFamily, CanonicalParams, CHEFamily, Family, GHEFamily,
-                    NormalParams, canonical_to_family, family_to_canonical,
+from .forms import (_CANONICAL_KEYS, _NORMAL_KEYS, BHEFamily, CanonicalParams,
+                    CHEFamily, Family, GHEFamily, NormalParams,
+                    canonical_to_family, family_to_canonical,
                     family_to_normal, family_to_normal_params,
                     normal_to_family)
 from .solutions import (CLASS_LIOUVILLIAN, SolutionBasis, eval_basis,
@@ -41,12 +42,9 @@ _FORM_FIELDS = {
     "bhe_family": ("sigma", "tau"),
     "che_family": ("lambda", "sigma", "tau"),
     "ghe_family": ("a", "delta", "sigma", "tau"),
-    "bhe_normal": ("B", "C", "D", "E"),
-    "che_normal": ("A", "B", "C", "D", "E"),
-    "ghe_normal": ("a", "A", "B", "D", "E", "F"),
-    "bhe_canonical": ("alpha", "beta", "gamma", "delta"),
-    "che_canonical": ("alpha", "beta", "gamma", "delta", "eta"),
-    "ghe_canonical": ("alpha", "beta", "gamma", "delta", "epsilon", "a", "q"),
+    **{f"{kind.lower()}_normal": keys for kind, keys in _NORMAL_KEYS.items()},
+    **{f"{kind.lower()}_canonical": keys
+       for kind, keys in _CANONICAL_KEYS.items()},
 }
 
 _TOP_KEYS = {"command", "form", "grid", "branch", "tol", "out"}
@@ -259,7 +257,7 @@ def render_csv(rows) -> str:
 
 def _candidates(job: JobSpec) -> list[Family]:
     p = job.payload
-    if isinstance(p, (BHEFamily, CHEFamily, GHEFamily)):
+    if isinstance(p, Family):
         return [p]
     if isinstance(p, NormalParams):
         return normal_to_family(p)
@@ -312,7 +310,7 @@ def _cmd_solve(job: JobSpec) -> tuple[str, int]:
 
 def _cmd_convert(job: JobSpec) -> tuple[str, int]:
     p = job.payload
-    if isinstance(p, (BHEFamily, CHEFamily, GHEFamily)):
+    if isinstance(p, Family):
         out = {
             "normal": _params_dict(family_to_normal_params(p)),
             "canonical": [_params_dict(c) for c in family_to_canonical(p)],
@@ -333,14 +331,10 @@ def _cmd_eval(job: JobSpec) -> tuple[str, int]:
     return csv, code
 
 
-def _family_kind(f: Family) -> str:
-    return f.kind
-
-
 def _cmd_verify(job: JobSpec) -> tuple[str, int]:
     fam = _select_family(job)
     basis = solve_family(fam)
-    kind = _family_kind(fam)
+    kind = fam.kind
     pts = list(_VERIFY_POINTS[kind])
     if job.grid is not None:
         pts.extend(_grid_points(job.grid))
@@ -389,7 +383,7 @@ def _cmd_paper_suite(job: JobSpec) -> tuple[str, int]:
                  f"{rep.points_checked} rows")
 
     for fam in _SUITE_FAMILIES:
-        kind = _family_kind(fam)
+        kind = fam.kind
         basis = solve_family(fam)
         residual_tol = (1e-8 if basis.classification == CLASS_LIOUVILLIAN
                         else verify_mod.RESIDUAL_TOL)

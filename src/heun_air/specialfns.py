@@ -11,19 +11,21 @@ Numeric architecture
 --------------------
 Every function is computed by a kernel written against a minimal scalar
 context. The default context is double precision (builtin complex, Lanczos
-gamma). Kernels track a running cancellation estimate — the peak magnitude
-reached by partial sums/terms divided by the final magnitude. When the
-estimate exceeds CANCEL_LIMIT (so double precision could not deliver ~1e-13
-relative accuracy), the kernel is re-run on mpmath scalars at a working
-precision chosen from the estimate, in a private mpmath context per thread.
-There the series, erf and the incomplete gamma are mpmath's own fixed-point
-evaluators, which detect their own cancellation and raise their own
-precision, so they report a cancellation of 1; the outer combinations (the U
-connection formula, the Kummer and Euler transformations, the B_x prefactor)
-still estimate theirs. Series termination in the double context follows the
-fixed rule: stop once |term| < 1e-16 |sum| three consecutive times, with a
-hard cap of MAX_TERMS_DEFAULT terms (override via the HEUN_AIR_MAX_TERMS
-environment variable).
+gamma); there every series is summed by _sum_series and both continued
+fractions by the modified-Lentz loop _lentz. Kernels track a running
+cancellation estimate -- the peak magnitude reached by partial sums/terms
+divided by the final magnitude. When the estimate exceeds CANCEL_LIMIT (so
+double precision could not deliver ~1e-13 relative accuracy), the kernel is
+re-run on mpmath scalars at a working precision chosen from the estimate, in
+a private mpmath context per thread. There the series, erf and the incomplete
+gamma are mpmath's own evaluators, which raise their own precision and report
+a cancellation of 1 (a sum cancelling below the working precision, such as a
+terminating series whose value is exactly 0, is 0); the outer combinations
+(the U connection formula, the Kummer and Euler transformations, the B_x
+prefactor) still estimate theirs. The double-precision loops stop once
+|term| <= 1e-16 |sum| three consecutive times (non-strict, so an exactly zero
+sum stops) or |delta - 1| < 1e-16, with a hard cap of MAX_TERMS_DEFAULT terms
+(override via the HEUN_AIR_MAX_TERMS environment variable).
 
 Branches: all fractional powers and logarithms are principal, arg in
 (-pi, pi], defined on the negative real axis and continuous from above (the
@@ -48,9 +50,13 @@ from .numkernel import as_complex
 ENV_MAX_TERMS = "HEUN_AIR_MAX_TERMS"
 MAX_TERMS_DEFAULT = 10000
 
-#: Double-context series termination: |term| < SERIES_EPS*|sum|, three in a row.
+#: Series termination: |term| <= SERIES_EPS*|sum|, three in a row; continued
+#: fractions stop once |delta - 1| < SERIES_EPS.
 SERIES_EPS = 1e-16
 CONSECUTIVE_BELOW = 3
+
+#: Smallest positive double: the continued fractions' zero-denominator guard.
+TINY = 5e-324
 
 #: Cancellation estimate above which a kernel is re-run on mpmath scalars.
 CANCEL_LIMIT = 1e3
@@ -116,11 +122,36 @@ _LANCZOS_COEF = (
 )
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+#: Complex, so that the erf kernel divides complex by complex.
+_SQRT_PI = complex(math.sqrt(math.pi))
+
+
+def _lanczos(zz):
+    """t and the Lanczos sum: gamma(zz + 1) = sqrt(2 pi) t^(zz+1/2) e^(-t) sum."""
+    acc = _LANCZOS_COEF[0]
+    for i in range(1, len(_LANCZOS_COEF)):
+        acc += _LANCZOS_COEF[i] / (zz + i)
+    return zz + _LANCZOS_G + 0.5, acc
+
+
+def _log_gamma(z) -> complex:
+    """A logarithm of gamma, on no particular branch, that overflows nowhere:
+    the Lanczos formula in log form, and in the reflection
+    sin(pi z) = (s/2) e^(-s pi z) (1 - e^(2 s pi z)) with s = i sign(Im z)."""
+    if z.real < 0.5:
+        s = 1j if z.imag >= 0 else -1j
+        w = cmath.pi * z
+        log_sin = -s * w + cmath.log(s / 2) + cmath.log(1 - cmath.exp(2 * s * w))
+        return math.log(math.pi) - log_sin - _log_gamma(1.0 - z)
+    zz = z - 1.0
+    t, acc = _lanczos(zz)
+    return math.log(_SQRT_TWO_PI) + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def gamma(z) -> complex:
     """Complete gamma function (Lanczos approximation, reflection for
-    Re(z) < 0.5). Accurate to ~1e-13 relative for moderate |z|."""
+    Re(z) < 0.5). Accurate to ~1e-13 relative for moderate |z|, and to
+    ~1e-12 in log form where sin(pi z) overflows (|Im z| >~ 225)."""
     z = as_complex(z)
     if near_nonpositive_integer(z):
         # sin(pi z) in the reflection below is never exactly zero in floating
@@ -130,12 +161,11 @@ def gamma(z) -> complex:
         if z.real < 0.5:
             return cmath.pi / (cmath.sin(cmath.pi * z) * gamma(1.0 - z))
         zz = z - 1.0
-        acc = _LANCZOS_COEF[0]
-        for i in range(1, len(_LANCZOS_COEF)):
-            acc += _LANCZOS_COEF[i] / (zz + i)
-        t = zz + _LANCZOS_G + 0.5
+        t, acc = _lanczos(zz)
         return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
+        if z.real < 0.5:  # sin(pi z) overflowed, where gamma itself is tiny
+            return cmath.exp(_log_gamma(z))
         raise NonFiniteError(f"gamma({z!r}) overflows in double precision") from None
 
 
@@ -144,12 +174,16 @@ def rgamma(z) -> complex:
     z = as_complex(z)
     if near_nonpositive_integer(z):
         return 0j
-    if z.real < 0.5:
-        try:
+    try:
+        if z.real < 0.5:
             return cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
+        return 1.0 / gamma(z)
+    # gamma overflows or underflows where 1/gamma may still be in range
+    except (OverflowError, NonFiniteError, ZeroDivisionError):
+        try:
+            return cmath.exp(-_log_gamma(z))
         except OverflowError:
             raise NonFiniteError(f"rgamma({z!r}) overflows in double precision") from None
-    return 1.0 / gamma(z)
 
 
 def principal_power(z, w) -> complex:
@@ -175,28 +209,17 @@ class _DoubleCtx:
     """Double-precision scalar context (builtin complex)."""
 
     hp = False
-    eps = SERIES_EPS
-    tiny = 5e-324
+    tiny = TINY
 
-    @staticmethod
-    def c(z):
-        return complex(z)
-
-    @staticmethod
-    def mag(z):
-        return abs(z)
+    c = staticmethod(complex)
 
     @staticmethod
     def re(z) -> float:
         return complex(z).real
 
     exp = staticmethod(cmath.exp)
-    pi = math.pi
 
-    @staticmethod
-    def power(z, w):
-        return principal_power(z, w)
-
+    power = staticmethod(principal_power)
     gamma = staticmethod(gamma)
     rgamma = staticmethod(rgamma)
 
@@ -216,7 +239,6 @@ class _MpCtx:
         m = self._m = mpmath.MPContext()
         self.c = m.mpc
         self.exp, self.gamma, self.rgamma = m.exp, m.gamma, m.rgamma
-        self.hyp0f1, self.hyp1f1, self.hyp2f1 = m.hyp0f1, m.hyp1f1, m.hyp2f1
         self.erf, self.gammainc = m.erf, m.gammainc
         self.finite = m.isfinite
 
@@ -224,9 +246,16 @@ class _MpCtx:
         self._m.dps = dps
         self.tiny = self._m.mpf(10) ** (-4 * dps)
 
-    @staticmethod
-    def mag(z):
-        return abs(z)
+    # zeroprec: a sum that cancels below the working precision, such as a
+    # terminating series whose value is exactly 0, is 0 instead of a ValueError
+    def hyp0f1(self, b, z):
+        return self._m.hyp0f1(b, z, zeroprec=self._m.prec)
+
+    def hyp1f1(self, a, b, z):
+        return self._m.hyp1f1(a, b, z, zeroprec=self._m.prec)
+
+    def hyp2f1(self, a, b, c, z):
+        return self._m.hyp2f1(a, b, c, z, zeroprec=self._m.prec)
 
     @staticmethod
     def re(z) -> float:
@@ -294,37 +323,66 @@ def _guarded(kernel, *args) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Series / continued-fraction kernels (context-generic)
+# Summation loops (double precision only) and kernels (context-generic)
 # ---------------------------------------------------------------------------
+
+def _sum_series(first, step, what):
+    """first + sum of the terms term = step(term, n), n = 0, 1, ...; returns
+    (sum, peak), peak being the largest |term| or |partial sum| reached."""
+    term = s = first
+    peak = abs(s)
+    below = 0
+    cap = max_terms()
+    for n in range(cap):
+        term = step(term, n)
+        s = s + term
+        m_t, m_s = abs(term), abs(s)
+        if m_t > peak:
+            peak = m_t
+        if m_s > peak:
+            peak = m_s
+        # non-strict, so that a sum that is exactly zero terminates too
+        if m_t <= SERIES_EPS * m_s:
+            below += 1
+            if below >= CONSECUTIVE_BELOW:
+                return s, peak
+        else:
+            below = 0
+    raise ConvergenceError(f"{what} did not converge within {cap} terms")
+
+
+def _lentz(b0, a_n, b_n, what):
+    """b0 + a_1/(b_1 + a_2/(b_2 + ...)) by the modified Lentz method
+    (Thompson and Barnett, J. Comput. Phys. 64, 1986); a_n and b_n map
+    n >= 1 to the partial numerators and denominators."""
+    f = b0 if abs(b0) > TINY else complex(TINY)
+    c_ = f
+    d = 0j
+    cap = max_terms()
+    for n in range(1, cap):
+        an, bn = a_n(n), b_n(n)
+        d = bn + an * d
+        if abs(d) < TINY:
+            d = complex(TINY)
+        c_ = bn + an / c_
+        if abs(c_) < TINY:
+            c_ = complex(TINY)
+        d = 1 / d
+        delta = c_ * d
+        f = f * delta
+        if abs(delta - 1) < SERIES_EPS:
+            return f
+    raise ConvergenceError(f"{what} did not converge within {cap} terms")
+
 
 def _k_1f1_series(ctx, a, b, z):
     """Kummer series sum_n (a)_n/(b)_n z^n/n!; returns (sum, cancel)."""
     a, b, z = ctx.c(a), ctx.c(b), ctx.c(z)
     if ctx.hp:
         return ctx.hyp1f1(a, b, z), 1.0
-    term = ctx.c(1)
-    s = ctx.c(1)
-    peak = ctx.mag(s)
-    below = 0
-    cap = max_terms()
-    for n in range(cap):
-        term = term * (a + n) / (b + n) * z / (n + 1)
-        s = s + term
-        m_t, m_s = ctx.mag(term), ctx.mag(s)
-        if m_t > peak:
-            peak = m_t
-        if m_s > peak:
-            peak = m_s
-        if m_t < ctx.eps * m_s:
-            below += 1
-            if below >= CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
-    else:
-        raise ConvergenceError(
-            f"1F1 series did not converge within {cap} terms (|z| = {abs(complex(z)):.3g})")
-    return s, _export_cancel(peak, ctx.mag(s), ctx)
+    s, peak = _sum_series(
+        1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1), "1F1 series")
+    return s, _export_cancel(peak, abs(s), ctx)
 
 
 def _k_1f1(ctx, a, b, z):
@@ -344,37 +402,18 @@ def _k_kummer_u(ctx, a, b, z):
     t1 = ctx.gamma(1 - b) * ctx.rgamma(a - b + 1) * m1
     t2 = ctx.gamma(b - 1) * ctx.rgamma(a) * ctx.power(z, 1 - b) * m2
     u = t1 + t2
-    peak = ctx.mag(t1) * max(c1, 1.0) + ctx.mag(t2) * max(c2, 1.0)
-    return u, _export_cancel(peak, ctx.mag(u), ctx)
+    peak = abs(t1) * max(c1, 1.0) + abs(t2) * max(c2, 1.0)
+    return u, _export_cancel(peak, abs(u), ctx)
 
 
 def _k_2f1_series(ctx, a, b, c, z):
     a, b, c, z = ctx.c(a), ctx.c(b), ctx.c(c), ctx.c(z)
     if ctx.hp:
         return ctx.hyp2f1(a, b, c, z), 1.0
-    term = ctx.c(1)
-    s = ctx.c(1)
-    peak = ctx.mag(s)
-    below = 0
-    cap = max_terms()
-    for n in range(cap):
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        s = s + term
-        m_t, m_s = ctx.mag(term), ctx.mag(s)
-        if m_t > peak:
-            peak = m_t
-        if m_s > peak:
-            peak = m_s
-        if m_t < ctx.eps * m_s:
-            below += 1
-            if below >= CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
-    else:
-        raise ConvergenceError(
-            f"2F1 series did not converge within {cap} terms (|z| = {abs(complex(z)):.3g})")
-    return s, _export_cancel(peak, ctx.mag(s), ctx)
+    s, peak = _sum_series(
+        1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
+        "2F1 series")
+    return s, _export_cancel(peak, abs(s), ctx)
 
 
 def _k_2f1(ctx, a, b, c, z):
@@ -383,7 +422,7 @@ def _k_2f1(ctx, a, b, c, z):
     singular-growing at z = 1 (Re(c-a-b) < 0), which is where the raw series
     conditioning degrades."""
     a, b, c, z = ctx.c(a), ctx.c(b), ctx.c(c), ctx.c(z)
-    if ctx.mag(z) > 0.5 and ctx.re(c - a - b) < 0:
+    if abs(z) > 0.5 and ctx.re(c - a - b) < 0:
         v, cancel = _k_2f1_series(ctx, c - a, c - b, c, z)
         return ctx.power(1 - z, c - a - b) * v, cancel
     return _k_2f1_series(ctx, a, b, c, z)
@@ -393,87 +432,8 @@ def _k_0f1(ctx, b, z):
     b, z = ctx.c(b), ctx.c(z)
     if ctx.hp:
         return ctx.hyp0f1(b, z), 1.0
-    term = ctx.c(1)
-    s = ctx.c(1)
-    peak = ctx.mag(s)
-    below = 0
-    cap = max_terms()
-    for n in range(cap):
-        term = term * z / ((b + n) * (n + 1))
-        s = s + term
-        m_t, m_s = ctx.mag(term), ctx.mag(s)
-        if m_t > peak:
-            peak = m_t
-        if m_s > peak:
-            peak = m_s
-        if m_t < ctx.eps * m_s:
-            below += 1
-            if below >= CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
-    else:
-        raise ConvergenceError(f"0F1 series did not converge within {cap} terms")
-    return s, _export_cancel(peak, ctx.mag(s), ctx)
-
-
-def _k_erf_series(ctx, z):
-    """erf(z) = 2/sqrt(pi) sum_n (-1)^n z^(2n+1) / (n! (2n+1))."""
-    z = ctx.c(z)
-    z2 = z * z
-    term = z
-    s = z
-    peak = ctx.mag(s)
-    below = 0
-    cap = max_terms()
-    for n in range(cap):
-        term = term * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3))
-        s = s + term
-        m_t, m_s = ctx.mag(term), ctx.mag(s)
-        if m_t > peak:
-            peak = m_t
-        if m_s > peak:
-            peak = m_s
-        # non-strict: at z = 0 every term and partial sum is exactly zero
-        if m_t <= ctx.eps * m_s:
-            below += 1
-            if below >= CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
-    else:
-        raise ConvergenceError(f"erf series did not converge within {cap} terms")
-    two_over_sqrt_pi = 2 / (ctx.pi ** ctx.c(0.5))
-    return two_over_sqrt_pi * s, _export_cancel(peak, ctx.mag(s), ctx)
-
-
-def _k_erfc_cf(ctx, z):
-    """sqrt(pi) e^(z^2) erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...))))
-    via modified Lentz; valid for Re(z) > 0, efficient away from the
-    imaginary axis."""
-    z = ctx.c(z)
-    tiny = ctx.tiny
-    b0 = z
-    f = b0 if ctx.mag(b0) > tiny else ctx.c(tiny)
-    c_ = f
-    d = ctx.c(0)
-    cap = max_terms()
-    for n in range(1, cap):
-        a_n = ctx.c(n) / 2
-        d = b0 + a_n * d
-        if ctx.mag(d) < tiny:
-            d = ctx.c(tiny)
-        c_ = b0 + a_n / c_
-        if ctx.mag(c_) < tiny:
-            c_ = ctx.c(tiny)
-        d = 1 / d
-        delta = c_ * d
-        f = f * delta
-        if ctx.mag(delta - 1) < ctx.eps:
-            break
-    else:
-        raise ConvergenceError(f"erfc continued fraction did not converge within {cap} terms")
-    return f  # = 1 / (sqrt(pi) e^(z^2) erfc(z)) reciprocal handled by caller
+    s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)), "0F1 series")
+    return s, _export_cancel(peak, abs(s), ctx)
 
 
 def _k_erf(ctx, z):
@@ -482,47 +442,21 @@ def _k_erf(ctx, z):
     z = ctx.c(z)
     if ctx.hp:
         return ctx.erf(z), 1.0
-    az = ctx.mag(z)
-    if az <= 3.0 or abs(ctx.re(z)) < az / 4:
-        return _k_erf_series(ctx, z)
-    w = z if ctx.re(z) > 0 else -z
-    f = _k_erfc_cf(ctx, w)
-    sqrt_pi = ctx.pi ** ctx.c(0.5)
-    erfc_w = ctx.exp(-w * w) / sqrt_pi / f
+    az = abs(z)
+    if az <= 3.0 or abs(z.real) < az / 4:
+        # erf(z) = 2/sqrt(pi) sum_n (-1)^n z^(2n+1) / (n! (2n+1))
+        z2 = z * z
+        s, peak = _sum_series(
+            z, lambda t, n: t * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3)),
+            "erf series")
+        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s), ctx)
+    # 1/(sqrt(pi) e^(w^2) erfc w) = w + (1/2)/(w + 1/(w + (3/2)/(w + ...))), Re w > 0
+    w = z if z.real > 0 else -z
+    f = _lentz(w, lambda n: complex(n) / 2, lambda n: w, "erfc continued fraction")
+    erfc_w = cmath.exp(-w * w) / _SQRT_PI / f
     erf_w = 1 - erfc_w
-    cancel = _export_cancel(1 + ctx.mag(erfc_w), ctx.mag(erf_w), ctx)
-    value = erf_w if ctx.re(z) > 0 else -erf_w
-    return value, cancel
-
-
-def _k_igam_upper_cf(ctx, a, z):
-    """Legendre continued fraction for Gamma(a,z), Re(z) > 0, |z| large:
-    Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))."""
-    a, z = ctx.c(a), ctx.c(z)
-    tiny = ctx.tiny
-    b0 = z + 1 - a
-    f = b0 if ctx.mag(b0) > tiny else ctx.c(tiny)
-    c_ = f
-    d = ctx.c(0)
-    cap = max_terms()
-    for n in range(1, cap):
-        a_n = -n * (n - a)
-        b_n = z + 2 * n + 1 - a
-        d = b_n + a_n * d
-        if ctx.mag(d) < tiny:
-            d = ctx.c(tiny)
-        c_ = b_n + a_n / c_
-        if ctx.mag(c_) < tiny:
-            c_ = ctx.c(tiny)
-        d = 1 / d
-        delta = c_ * d
-        f = f * delta
-        if ctx.mag(delta - 1) < ctx.eps:
-            break
-    else:
-        raise ConvergenceError(
-            f"incomplete-gamma continued fraction did not converge within {cap} terms")
-    return ctx.exp(-z) * ctx.power(z, a) / f, 1.0
+    cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w), ctx)
+    return (erf_w if z.real > 0 else -erf_w), cancel
 
 
 def _k_igam_upper(ctx, a, z):
@@ -531,38 +465,22 @@ def _k_igam_upper(ctx, a, z):
     a, z = ctx.c(a), ctx.c(z)
     if ctx.hp:
         return ctx.gammainc(a, z), 1.0
-    az = ctx.mag(z)
-    if ctx.re(z) > 0 and az >= max(6.0, abs(complex(a)) + 2.0):
-        return _k_igam_upper_cf(ctx, a, z)
+    if z.real > 0 and abs(z) >= max(6.0, abs(a) + 2.0):
+        # Legendre's continued fraction, Re(z) > 0 and |z| large:
+        # Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))
+        f = _lentz(z + 1 - a, lambda n: -n * (n - a),
+                   lambda n: z + 2 * n + 1 - a,
+                   "incomplete-gamma continued fraction")
+        return cmath.exp(-z) * principal_power(z, a) / f, 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
-    term = 1 / a
-    s = term
-    peak = ctx.mag(s)
-    below = 0
-    cap = max_terms()
-    for n in range(cap):
-        term = term * z / (a + n + 1)
-        s = s + term
-        m_t, m_s = ctx.mag(term), ctx.mag(s)
-        if m_t > peak:
-            peak = m_t
-        if m_s > peak:
-            peak = m_s
-        if m_t < ctx.eps * m_s:
-            below += 1
-            if below >= CONSECUTIVE_BELOW:
-                break
-        else:
-            below = 0
-    else:
-        raise ConvergenceError(
-            f"incomplete-gamma series did not converge within {cap} terms")
-    lower = ctx.power(z, a) * ctx.exp(-z) * s
-    g = ctx.gamma(a)
+    s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
+                          "incomplete-gamma series")
+    lower = principal_power(z, a) * cmath.exp(-z) * s
+    g = gamma(a)
     v = g - lower
-    series_cancel = _export_cancel(peak, ctx.mag(s), ctx)
-    peak_outer = ctx.mag(g) + ctx.mag(lower) * max(series_cancel, 1.0)
-    return v, _export_cancel(peak_outer, ctx.mag(v), ctx)
+    series_cancel = _export_cancel(peak, abs(s), ctx)
+    peak_outer = abs(g) + abs(lower) * max(series_cancel, 1.0)
+    return v, _export_cancel(peak_outer, abs(v), ctx)
 
 
 def _k_inc_beta(ctx, x, a, b):

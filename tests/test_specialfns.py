@@ -92,6 +92,18 @@ def test_gamma_overflow_is_typed():
             gamma(z)
 
 
+def test_gamma_at_large_imaginary_part():
+    # sin(pi z) overflows in the reflection while gamma itself is tiny
+    for z in (0.3 + 250j, -3.7 + 300j, 0.3 - 250j, -3.7 - 300j):
+        assert_close(gamma(z), complex(mpmath.gamma(z)), 1e-11)
+        assert_close(rgamma(z), complex(mpmath.rgamma(z)), 1e-11)
+    for z in (0.7 + 400j, 0.7 - 400j):
+        assert_close(gamma(z), complex(mpmath.gamma(z)), 1e-11)
+    assert rgamma(200.0) == 0  # gamma(200) overflows, its reciprocal is 0
+    with pytest.raises(NonFiniteError):  # gamma underflows, 1/gamma overflows
+        rgamma(0.7 + 600j)
+
+
 def test_gamma_reflection_random():
     r = rng("gamma-reflect")
     for _ in range(40):
@@ -245,6 +257,12 @@ def test_hyp2f1_parameter_and_domain_errors():
     for z in (1.0, -1.0, 1.2, 0.8 + 0.8j):
         with pytest.raises(DomainError):
             hyp2f1(0.5, 0.5, 1.5, z)
+
+
+def test_terminating_series_with_exact_zero_value():
+    # 1 - z/2 at z = 2 and 1 - 4z at z = 1/4: the partial sums reach exactly 0
+    assert hyp1f1(-1, 2, 2) == specialfns.FnValue(0j, -0.5)
+    assert hyp2f1(-1, 4, 1, 0.25) == specialfns.FnValue(0j, -4)
 
 
 def test_euler_transformation_identity():
@@ -551,6 +569,19 @@ def test_max_terms_cap_forces_convergence_error(monkeypatch):
     monkeypatch.delenv(ENV_MAX_TERMS)
     assert rel_err(hyp1f1(0.5, 1.5, 35.0).value,
                    hyp1f1(0.5, 1.5, 35.0).value) == 0  # default cap suffices
+    for what, fn, args in (
+            ("2F1 series", hyp2f1, (0.5, 1.5, 2.5, 0.9)),
+            ("0F1 series", hyp0f1, (1.5, 50.0)),
+            ("erf series", erf_like, ("erf", 2.0)),
+            ("erfc continued fraction", erf_like, ("erf", 5.0)),
+            ("incomplete-gamma series", inc_gamma_upper, (0.5, 3.0)),
+            ("incomplete-gamma continued fraction", inc_gamma_upper,
+             (0.5, 10.0))):
+        monkeypatch.setenv(ENV_MAX_TERMS, "10")
+        with pytest.raises(ConvergenceError, match=what):
+            fn(*args)
+        monkeypatch.delenv(ENV_MAX_TERMS)
+        fn(*args)  # default cap suffices
 
 
 def test_max_terms_rejects_garbage(monkeypatch):
