@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .errors import HeunAirError, SchemaError
 from .forms import (_CANONICAL_KEYS, _NORMAL_KEYS, BHEFamily, CanonicalParams,
@@ -38,10 +38,12 @@ GRID_COUNT_CAP = 100000
 CSV_COLUMNS = ("x_re", "x_im", "y1_re", "y1_im", "y1p_re", "y1p_im",
                "y2_re", "y2_im", "y2p_re", "y2p_im", "status")
 
+_FAMILY_FORMS = {f"{cls.kind.lower()}_family": cls for cls in Family.__args__}
+
 _FORM_FIELDS = {
-    "bhe_family": ("sigma", "tau"),
-    "che_family": ("lambda", "sigma", "tau"),
-    "ghe_family": ("a", "delta", "sigma", "tau"),
+    **{form: tuple("lambda" if fl.name == "lam" else fl.name
+                   for fl in fields(cls))
+       for form, cls in _FAMILY_FORMS.items()},
     **{f"{kind.lower()}_normal": keys for kind, keys in _NORMAL_KEYS.items()},
     **{f"{kind.lower()}_canonical": keys
        for kind, keys in _CANONICAL_KEYS.items()},
@@ -100,13 +102,8 @@ def _build_payload(form: str, doc: dict):
         if name not in doc:
             raise SchemaError(f"$.{name}: required by form {form!r}")
         values[name] = _want_complex(doc[name], f"$.{name}")
-    if form == "bhe_family":
-        return BHEFamily(values["sigma"], values["tau"])
-    if form == "che_family":
-        return CHEFamily(values["lambda"], values["sigma"], values["tau"])
-    if form == "ghe_family":
-        return GHEFamily(values["a"], values["delta"], values["sigma"],
-                         values["tau"])
+    if form in _FAMILY_FORMS:
+        return _FAMILY_FORMS[form](*values.values())
     kind = form.split("_")[0].upper()
     if form.endswith("_normal"):
         return NormalParams(kind, values)
@@ -207,15 +204,11 @@ def _cx_json(z: complex):
 
 
 def _family_dict(f: Family) -> dict:
-    if isinstance(f, BHEFamily):
-        return {"form": "bhe_family", "sigma": _cx_json(f.sigma),
-                "tau": _cx_json(f.tau)}
-    if isinstance(f, CHEFamily):
-        return {"form": "che_family", "lambda": _cx_json(f.lam),
-                "sigma": _cx_json(f.sigma), "tau": _cx_json(f.tau)}
-    return {"form": "ghe_family", "a": _cx_json(f.a),
-            "delta": _cx_json(f.delta), "sigma": _cx_json(f.sigma),
-            "tau": _cx_json(f.tau)}
+    form = f"{f.kind.lower()}_family"
+    out = {"form": form}
+    for name, fl in zip(_FORM_FIELDS[form], fields(f)):
+        out[name] = _cx_json(getattr(f, fl.name))
+    return out
 
 
 def _params_dict(p) -> dict:

@@ -51,8 +51,8 @@ class LinearODE:
 
 @dataclass(frozen=True)
 class BHEFamily:
-    """Two-parameter family with normal form
-    q = x^2 + 2 sigma x + tau^2 + tau/x + 3/(4 x^2)."""
+    """Two-parameter family; family_to_normal_params gives the pole
+    coefficients of its q (see NormalParams)."""
 
     sigma: complex
     tau: complex
@@ -123,7 +123,8 @@ _CANONICAL_KEYS = {
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Pole coefficients of a normal form q, keyed per family:
+    """Pole coefficients of a normal form q, keyed per family; the one
+    statement of q, from which family_to_normal builds it:
     BHE: q = x^2 - B x - C - D/x - E/x^2
     CHE: q = -A - B/x - C/(x-1) - D/x^2 - E/(x-1)^2
     GHE: q = -A/x - B/(x-1) + (A+B)/(x-a) - D/x^2 - E/(x-1)^2 - F/(x-a)^2
@@ -194,34 +195,30 @@ def to_normal_form(ode: LinearODE) -> tuple[RatFun, RatFun]:
 # family -> normal form
 # ---------------------------------------------------------------------------
 
+def _normal_q(n: NormalParams) -> RatFun:
+    """q as NormalParams' docstring states it."""
+    neg = {k: 0j - v for k, v in n.values.items()}  # zeros kept +0
+    if n.family == "BHE":
+        return RatFun(Poly((neg["E"], neg["D"], neg["C"], neg["B"], 1)),
+                      Poly((0, 0, 1)))
+    if n.family == "CHE":
+        return (RatFun.const(neg["A"])
+                + RatFun(neg["B"], POLY_X)
+                + RatFun(neg["C"], Poly((-1, 1)))
+                + RatFun(neg["D"], Poly((0, 0, 1)))
+                + RatFun(neg["E"], Poly((1, -2, 1))))
+    a = n["a"]
+    return (RatFun(neg["A"], POLY_X)
+            + RatFun(neg["B"], Poly((-1, 1)))
+            + RatFun(n["A"] + n["B"], Poly((-a, 1)))
+            + RatFun(neg["D"], Poly((0, 0, 1)))
+            + RatFun(neg["E"], Poly((1, -2, 1)))
+            + RatFun(neg["F"], Poly((a * a, -2 * a, 1))))
+
+
 def family_to_normal(f: Family) -> LinearODE:
     """Normal-form equation y'' = q(x) y of a family instance (c1 = 0)."""
-    if isinstance(f, BHEFamily):
-        s, t = f.sigma, f.tau
-        q = RatFun(Poly((0.75, t, t * t, 2 * s, 1)), Poly((0, 0, 1)))
-    elif isinstance(f, CHEFamily):
-        lam, s, t = f.lam, f.sigma, f.tau
-        l2 = lam * lam
-        q = (RatFun.const(l2)
-             + RatFun(2 * (s - 1) * l2 - t * lam + 0.5, POLY_X)
-             + RatFun(t * lam - 0.5, Poly((-1, 1)))
-             + RatFun((t * t - 2 * s + 1) * l2 - 0.25, Poly((0, 0, 1)))
-             + RatFun(0.75, Poly((1, -2, 1))))
-    elif isinstance(f, GHEFamily):
-        a, d, s, t = f.a, f.delta, f.sigma, f.tau
-        d2 = d * d
-        q = (RatFun((2 * a * a * (a - 1) * d2 - 2 * s * a * (2 * a - 1) * d
-                     + (2 * t * t - 0.5) * a + t + 0.5) / a, POLY_X)
-             + RatFun(-2 * (a * (a - 1) ** 2 * d2 - s * (2 * a - 1) * (a - 1) * d
-                            + (t - 0.5) * ((t + 0.5) * a - t)) / (a - 1), Poly((-1, 1)))
-             + RatFun((t - a + 0.5) / (a * (a - 1)), Poly((-a, 1)))
-             + RatFun(a * a * d2 - 2 * a * s * d + t * t - 0.25, Poly((0, 0, 1)))
-             + RatFun((a - 1) ** 2 * d2 - 2 * s * (a - 1) * d + t * t - 0.25,
-                      Poly((1, -2, 1)))
-             + RatFun(0.75, Poly((a * a, -2 * a, 1))))
-    else:
-        raise ParamError(f"unsupported family object {type(f).__name__}")
-    return LinearODE(RAT_ZERO, q)
+    return LinearODE(RAT_ZERO, _normal_q(family_to_normal_params(f)))
 
 
 # ---------------------------------------------------------------------------

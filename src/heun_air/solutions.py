@@ -4,6 +4,8 @@ Each solve_* returns a SolutionBasis of two member callables mapping x to
 (value, derivative). On the measure-zero locus sigma = +-tau the members are
 Liouvillian (error-function / incomplete-gamma / incomplete-beta kernels);
 otherwise they are assembled from confluent/Gauss hypergeometric functions.
+On sigma = -tau, CHE and GHE return the members of the mirror
+parametrization, which has the same normal form and sigma = +tau.
 `solve_via_p_route` derives an independent general-branch basis through the
 companion first-derivative equation and algebraic reconstruction — it must
 (and is tested to) span the same space as the direct basis.
@@ -16,14 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import abel
 from .errors import (DegenerateError, DomainError, BranchError, HeunAirError,
                      ParamError, RemovablePointError)
-from .forms import (BHEFamily, CHEFamily, Family, GHEFamily, LinearODE,
-                    family_to_normal)
+from .forms import BHEFamily, CHEFamily, Family, GHEFamily, LinearODE
 from .numkernel import POLY_X, Poly, RatFun, as_complex, rat_eval
 from .specialfns import (FnValue, erf_like, hyp0f1, hyp1f1, hyp2f1, inc_beta,
                          inc_gamma_upper, kummer_u, near_nonpositive_integer,
@@ -177,7 +178,7 @@ def _check_bhe(x: complex) -> None:
 
 
 def solve_bhe(f: BHEFamily) -> SolutionBasis:
-    """Basis for y'' = (x^2 + 2 sigma x + tau^2 + tau/x + 3/(4x^2)) y.
+    """Basis for the two-parameter family's normal form y'' = q y.
 
     Liouvillian members on sigma = +-tau; otherwise Kummer M/U members in
     the shifted-squared variable (x+sigma)^2, which makes x = -sigma a
@@ -304,52 +305,35 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
     lam, sigma, tau = f.lam, f.sigma, f.tau
 
     if is_liouvillian(sigma, tau):
-        plus = abs(sigma - tau) <= abs(sigma + tau)
-        if plus:
-            expo = (1 - tau) * lam + 0.5
-            u = 2 * (tau - 1) * lam
+        if abs(sigma - tau) > abs(sigma + tau):
+            # sigma = -tau: the mirror's y2 is minus ours (0j - v, unlike
+            # -v, keeps exactly zero imaginary parts +0)
+            mirror = solve_che(CHEFamily(-lam, sigma, -tau))
+            return replace(mirror, family=f,
+                           formula="che_liouvillian_gamma_minus",
+                           y2=lambda x: tuple(0j - v for v in mirror.y2(x)))
+        expo = (1 - tau) * lam + 0.5
+        u = 2 * (tau - 1) * lam
 
-            def y1(x):
-                x = as_complex(x)
-                _check_che(x)
-                return pair_mul(pair_pow(pair_var(x), expo),
-                                pair_exp((-lam * x, -lam)),
-                                pair_pow((x - 1, 1.0 + 0j), -0.5))
+        def y1(x):
+            x = as_complex(x)
+            _check_che(x)
+            return pair_mul(pair_pow(pair_var(x), expo),
+                            pair_exp((-lam * x, -lam)),
+                            pair_pow((x - 1, 1.0 + 0j), -0.5))
 
-            def y2(x):
-                x = as_complex(x)
-                _check_che(x)
-                base = y1(x)
-                g1 = pair_fn(inc_gamma_upper(u + 1, -2 * lam * x), -2 * lam)
-                g0 = pair_fn(inc_gamma_upper(u, -2 * lam * x), -2 * lam)
-                s = pair_add(g1, pair_scale(2 * lam, g0))
-                return pair_mul(base, s)
+        def y2(x):
+            x = as_complex(x)
+            _check_che(x)
+            base = y1(x)
+            g1 = pair_fn(inc_gamma_upper(u + 1, -2 * lam * x), -2 * lam)
+            g0 = pair_fn(inc_gamma_upper(u, -2 * lam * x), -2 * lam)
+            s = pair_add(g1, pair_scale(2 * lam, g0))
+            return pair_mul(base, s)
 
-            formula = "che_liouvillian_gamma_plus"
-        else:
-            expo = -(1 + tau) * lam + 0.5
-            v = 2 * (tau + 1) * lam
-
-            def y1(x):
-                x = as_complex(x)
-                _check_che(x)
-                return pair_mul(pair_pow(pair_var(x), expo),
-                                pair_exp((lam * x, lam)),
-                                pair_pow((x - 1, 1.0 + 0j), -0.5))
-
-            def y2(x):
-                x = as_complex(x)
-                _check_che(x)
-                base = y1(x)
-                g1 = pair_fn(inc_gamma_upper(v + 1, 2 * lam * x), 2 * lam)
-                g0 = pair_fn(inc_gamma_upper(v, 2 * lam * x), 2 * lam)
-                s = pair_sub(pair_scale(2 * lam, g0), g1)
-                return pair_mul(base, s)
-
-            formula = "che_liouvillian_gamma_minus"
         return make_basis(
-            y1, y2, CLASS_LIOUVILLIAN, f, "x in (0,1) or x > 1", formula,
-            {"u": (2 * (tau - 1) * lam) if plus else (2 * (tau + 1) * lam)},
+            y1, y2, CLASS_LIOUVILLIAN, f, "x in (0,1) or x > 1",
+            "che_liouvillian_gamma_plus", {"u": u},
             _pick([1.6, 0.45, 2.2, 0.7, 1.3], 1.0))
 
     mu, nu = che_whittaker_params(f)
@@ -399,6 +383,16 @@ def ghe_exponents(f: GHEFamily) -> tuple[complex, complex]:
     return big_sigma, big_t
 
 
+def _refuse_ghe_resonance(big_t) -> None:
+    """ParamError when a Gauss lower parameter 1 +- 2T or 2 +- 2T of the
+    general-branch members is a nonpositive integer."""
+    for c in (1 - 2 * big_t, 2 - 2 * big_t, 1 + 2 * big_t, 2 + 2 * big_t):
+        if near_nonpositive_integer(c):
+            raise ParamError(
+                f"2F1 lower parameter {c!r} degenerates to a nonpositive "
+                "integer (1 +- 2T integer-resonant); no generic basis")
+
+
 def solve_ghe(f: GHEFamily) -> SolutionBasis:
     """Basis for the four-parameter family on x in (0, 1).
 
@@ -409,17 +403,14 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
     big_sigma, big_t = ghe_exponents(f)
 
     if is_liouvillian(sigma, tau):
-        plus = abs(sigma - tau) <= abs(sigma + tau)
-        if plus:
-            p_exp = tau - a * d + 0.5
-            q_exp = (a - 1) * d - tau + 0.5
-            alpha = 1 + 2 * (a * d - tau)
-            beta = 2 * ((1 - a) * d + tau)
-        else:
-            p_exp = tau + a * d + 0.5
-            q_exp = (1 - a) * d - tau + 0.5
-            alpha = 1 - 2 * (a * d + tau)
-            beta = 2 * ((a - 1) * d + tau)
+        if abs(sigma - tau) > abs(sigma + tau):
+            # sigma = -tau: the mirror's members are ours
+            return replace(solve_ghe(GHEFamily(a, -d, -sigma, tau)), family=f,
+                           formula="ghe_liouvillian_beta_minus")
+        p_exp = tau - a * d + 0.5
+        q_exp = (a - 1) * d - tau + 0.5
+        alpha = 1 + 2 * (a * d - tau)
+        beta = 2 * ((1 - a) * d + tau)
 
         def y1(x):
             x = as_complex(x)
@@ -439,16 +430,10 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
 
         return make_basis(
             y1, y2, CLASS_LIOUVILLIAN, f, "0 < x < 1",
-            "ghe_liouvillian_beta_plus" if plus else "ghe_liouvillian_beta_minus",
-            {"Sigma": big_sigma, "T": big_t},
+            "ghe_liouvillian_beta_plus", {"Sigma": big_sigma, "T": big_t},
             _pick([0.45, 0.6, 0.3, 0.75], 0.0, 1.0, radius=0.1))
 
-    for c in (1 - 2 * big_t, 2 - 2 * big_t, 1 + 2 * big_t, 2 + 2 * big_t):
-        if near_nonpositive_integer(c):
-            raise ParamError(
-                f"2F1 lower parameter {c!r} degenerates to a nonpositive "
-                "integer (1 +- 2T integer-resonant); no generic basis")
-
+    _refuse_ghe_resonance(big_t)
     S, T, D = big_sigma, big_t, d
 
     def prefactor(x) -> Pair:
@@ -590,10 +575,7 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
     else:
         a, d, s, t = f.a, f.delta, f.sigma, f.tau
         S, T = ghe_exponents(f)
-        for c in (1 - 2 * T, 2 - 2 * T, 1 + 2 * T, 2 + 2 * T):
-            if near_nonpositive_integer(c):
-                raise ParamError(
-                    f"2F1 lower parameter {c!r} degenerates to a nonpositive integer")
+        _refuse_ghe_resonance(T)
         e1 = -1 - a * d - t - T
         e2 = (a - 1) * d + t + S - 1
 

@@ -20,6 +20,8 @@ from conftest import (
     rng,
 )
 from heun_air import (
+    CHEFamily,
+    GHEFamily,
     LinearODE,
     canonical_to_family,
     companion_p_ode,
@@ -236,6 +238,35 @@ def test_acceptance_4_transformation_structure():
     assert involution_ok == 100
     assert coincide_ok == 100
     assert span_worst <= SPAN_TOL
+
+
+def test_mirror_parametrizations_span_the_same_space():
+    # CHE(lambda, sigma, tau) and CHE(-lambda, sigma, -tau) share one normal
+    # form, as do GHE(a, delta, sigma, tau) and GHE(a, -delta, -sigma, tau);
+    # on the general branch their bases come from different kernel
+    # arguments and must span the same space on every connected component
+    r = rng("mirror-span")
+    components = {
+        "CHE": [[lo + (hi - lo) * k / 8 for k in range(9)]
+                for lo, hi in ((0.2, 0.85), (1.3, 2.8))],
+        "GHE": [[0.15 + 0.7 * k / 8 for k in range(9)]],
+    }
+    worst = {"CHE": 0.0, "GHE": 0.0}
+    for _ in range(30):
+        che, ghe = draw_che(r), draw_ghe(r)
+        for f, mirror in (
+                (che, CHEFamily(-che.lam, che.sigma, -che.tau)),
+                (ghe, GHEFamily(ghe.a, -ghe.delta, -ghe.sigma, ghe.tau))):
+            basis, other = solve_family(f), solve_family(mirror)
+            for pts in components[f.kind]:
+                for y in (basis.y1, basis.y2):
+                    worst[f.kind] = max(worst[f.kind], _fit_and_check(
+                        y, other.y1, other.y2, pts[4], pts[:4] + pts[5:]))
+    ok = max(worst.values()) <= SPAN_TOL
+    _line(4, ok, "mirror parametrization span",
+          f"worst CHE {worst['CHE']:.3e}, GHE {worst['GHE']:.3e} over 30 "
+          f"draws/family (tol {SPAN_TOL:.0e})")
+    assert max(worst.values()) <= SPAN_TOL
 
 
 # ---------------------------------------------------------------------------

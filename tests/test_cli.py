@@ -216,6 +216,18 @@ def test_eval_csv_shape_and_determinism(tmp_path, capsys):
     assert first[4] == f"{d1.real:.17g}"
 
 
+def test_eval_prints_unsigned_zero_imaginary_parts(tmp_path, capsys):
+    # sigma = -tau CHE members are the negated mirror members; for x > 1
+    # their imaginary parts are exactly zero and must print as 0, not -0
+    doc = {"form": "che_family", "lambda": 0.9, "sigma": 0.4, "tau": -0.4}
+    code, out, _ = _run(capsys, ["eval", "--spec", _spec(tmp_path, doc),
+                                 "--grid", "1.5:2.5:2"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1.5", "2.5"]
+    assert all(r[1:10:2] == ["0"] * 5 and r[10] == "ok" for r in rows)
+
+
 def test_eval_spec_grid_with_complex_endpoints(tmp_path, capsys):
     doc = dict(BHE_LIOUVILLE_DOC)
     doc["grid"] = {"start": [0.5, 0.5], "stop": [2.0, 0.5], "count": 3}

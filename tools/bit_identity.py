@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Dump every output of a heun-air source tree bit for bit, for diffing.
+
+    python3 tools/bit_identity.py --src <tree>/src > <tree>.dump
+    diff parent.dump change.dump
+
+Imports `heun_air` from `--src` and writes one line per output, with every
+float as `float.hex`, so signed zeros and last-bit changes show:
+
+* `tabulate`: the general-branch grids of the benchmark's `tabulate`
+  workload for seeds 1-3 (60 rounds of one draw per family);
+* `verify`: for seeds 1-3, 15 draws of every family and branch
+  from the `verify` workload's streams, at the `heun-air verify` points
+  and 20 points in each RK window, and the benchmark's fixed basis;
+* for every basis: `formula`, `classification`, `valid_domain`,
+  `probe_point`, `family` and `derived`, the coefficients of
+  `family_to_normal`, (y, y') of both members at every point (or the
+  error each point raised), and the sha256 of the rendered CSV;
+* `cli`: the sha256 of stdout and stderr and the exit code of CLI
+  `eval`/`solve`/`convert`/`detect`/`verify` for the first 2 draws
+  of every verify stream of seed 1, and of `paper-suite`.
+
+Draws, grids, points and windows come from `perfbench/` (imported, never
+written: no bytecode is cached). Two trees give identical outputs when
+`diff` of their dumps is empty.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+SEEDS = (1, 2, 3)
+TABULATE_ROUNDS = 60
+VERIFY_DRAWS = 15
+CLI_DRAWS = 2
+WINDOW_SAMPLES = 20
+CLI_GRID_POINTS = 50
+
+
+def _hex(z) -> str:
+    z = complex(z)
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class Dumper:
+    def __init__(self, H, bench, out):
+        self.H, self.bench, self.out = H, bench, out
+
+    def line(self, *parts) -> None:
+        self.out.write(" ".join(str(p) for p in parts) + "\n")
+
+    def family(self, d):
+        return getattr(self.H.forms, f"{d.kind}Family")(*d.params)
+
+    def basis(self, tag: str, d, xs) -> None:
+        H = self.H
+        self.line(tag, "draw", d.kind, d.branch, *(_hex(p) for p in d.params))
+        f = self.family(d)
+        ode = H.forms.family_to_normal(f)
+        for name, r in (("c1", ode.c1), ("c0", ode.c0)):
+            self.line(tag, "normal", name,
+                      "num", *(_hex(c) for c in r.num.coeffs),
+                      "den", *(_hex(c) for c in r.den.coeffs))
+        try:
+            b = H.solutions.solve_family(f)
+        except H.errors.HeunAirError as exc:
+            self.line(tag, "solve", _error(exc))
+            return
+        fam = b.family
+        self.line(tag, "meta", b.formula, b.classification,
+                  repr(b.valid_domain), _hex(b.probe_point),
+                  type(fam).__name__,
+                  *(f"{k}={_hex(v)}" for k, v in sorted(vars(fam).items())))
+        self.line(tag, "derived",
+                  *(f"{k}={_hex(v)}" for k, v in sorted(b.derived.items())))
+        for x in xs:
+            for name, member in (("y1", b.y1), ("y2", b.y2)):
+                try:
+                    v, dv = member(x)
+                    got = f"{_hex(v)} {_hex(dv)}"
+                except H.errors.HeunAirError as exc:
+                    got = _error(exc)
+                self.line(tag, name, _hex(x), got)
+        csv = H.cli.render_csv(H.solutions.eval_basis(b, xs))
+        self.line(tag, "csv", _sha(csv))
+
+    def tabulate(self, seed: int) -> None:
+        draws = self.bench.draws
+        rng = random.Random(f"{seed}:tabulate")
+        streams = [draws.Stream(rng, k, draws.GENERAL) for k in draws.KINDS]
+        for i in range(TABULATE_ROUNDS):
+            for s in streams:
+                d = next(s)
+                self.basis(f"tabulate:{seed}:{i}", d, self.bench._grid(d))
+
+    def verify_points(self, kind: str) -> list[float]:
+        xs = list(self.bench.VERIFY_POINTS[kind])
+        for lo, hi in self.bench.VERIFY_WINDOWS[kind]:
+            xs += [lo + (hi - lo) * k / (WINDOW_SAMPLES - 1)
+                   for k in range(WINDOW_SAMPLES)]
+        return xs
+
+    def verify_streams(self, seed: int):
+        bench, draws = self.bench, self.bench.draws
+        rng = random.Random(f"{seed}:verify")
+        return [draws.Stream(rng, k, b, bench.BHE_VERIFY_CLEAR
+                             if (k, b) == ("BHE", draws.GENERAL) else None)
+                for k in draws.KINDS for b in draws.BRANCHES]
+
+    def verify(self, seed: int) -> None:
+        for s in self.verify_streams(seed):
+            for i in range(VERIFY_DRAWS):
+                d = next(s)
+                self.basis(f"verify:{seed}:{i}", d, self.verify_points(d.kind))
+        d = self.bench.KNOWN_FALSE_ALARM
+        self.basis(f"verify:{seed}:alarm", d, self.verify_points(d.kind))
+
+    def cli_call(self, tag: str, tmp: str, argv, doc=None) -> None:
+        if doc is not None:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv = [*argv, "--spec", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.H.cli.main(argv)
+        self.line(tag, "cli", argv[0], code, _sha(out.getvalue()),
+                  _sha(err.getvalue()))
+
+    def cli(self) -> None:
+        H = self.H
+        with tempfile.TemporaryDirectory() as tmp:
+            for s in self.verify_streams(SEEDS[0]):
+                for i in range(CLI_DRAWS):
+                    d = next(s)
+                    tag = f"cli:{d.kind}:{d.branch}:{i}"
+                    doc = dict(zip(self.bench.CLI_FIELDS[d.kind], d.params),
+                               form=f"{d.kind.lower()}_family")
+                    n = H.forms.family_to_normal_params(self.family(d))
+                    normal = {k: [v.real, v.imag] for k, v in n.values.items()}
+                    normal["form"] = f"{d.kind.lower()}_normal"
+                    lo, hi = self.bench.GRIDS[d.kind]
+                    self.cli_call(tag, tmp, ["eval", "--grid",
+                                             f"{lo}:{hi}:{CLI_GRID_POINTS}"],
+                                  doc)
+                    for cmd in ("solve", "convert", "verify"):
+                        self.cli_call(tag, tmp, [cmd], doc)
+                    self.cli_call(tag, tmp, ["detect"], normal)
+                    self.cli_call(tag, tmp, ["convert"], normal)
+            self.cli_call("cli:suite", tmp, ["paper-suite"])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", required=True,
+                    help="the src/ directory of the tree to dump")
+    args = ap.parse_args(argv)
+
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.abspath(args.src), PERFBENCH]
+    import heun_air
+    import heun_air.cli  # noqa: F401  (not imported by the package)
+    import run as bench  # perfbench/run.py: draws, grids, verify points
+
+    dumper = Dumper(heun_air, bench, sys.stdout)
+    for seed in SEEDS:
+        dumper.tabulate(seed)
+        dumper.verify(seed)
+    dumper.cli()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
