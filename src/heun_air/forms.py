@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamError
-from .numkernel import (POLY_ONE, POLY_X, Poly, RAT_ZERO, RatFun, as_complex,
+from .numkernel import (POLY_X, Poly, RAT_ZERO, RatFun, as_complex,
                         rat_derivative, rat_eval)
 
 #: Acceptance tolerance for fixed/dependent parameter constraints during
@@ -277,13 +277,30 @@ def _sample_points(poles: list[complex], count: int = 12) -> list[complex]:
     return pts
 
 
-def _fit(q: RatFun, basis, poles) -> tuple[np.ndarray, float]:
+def _fit(q_at, basis, poles) -> tuple[np.ndarray, float]:
     pts = _sample_points(poles)
     mat = np.array([[b(x) for b in basis] for x in pts], dtype=complex)
-    rhs = np.array([rat_eval(q, x) for x in pts], dtype=complex)
+    rhs = np.array([q_at(x) for x in pts], dtype=complex)
     coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     resid = np.linalg.norm(mat @ coef - rhs) / max(1.0, np.linalg.norm(rhs))
     return coef, float(resid)
+
+
+def _deflate(p: Poly, root: float) -> tuple[int, Poly]:
+    """Divide (x - root) out of p for as long as the remainder is rounding
+    noise; returns the multiplicity and the cofactor."""
+    scale = sum(abs(c) for c in p.coeffs)
+    m = 0
+    while p.degree >= 1:
+        acc, quot = 0j, []
+        for c in reversed(p.coeffs):  # synthetic division
+            acc = acc * root + c
+            quot.append(acc)
+        if abs(quot.pop()) > 1e-10 * scale:
+            break
+        p = Poly(reversed(quot))
+        m += 1
+    return m, p
 
 
 def _clustered_roots(p: Poly, radius: float = 5e-3) -> list[complex]:
@@ -321,7 +338,7 @@ def extract_normal_params(q, family: str, a=None) -> NormalParams:
     if family == "BHE":
         basis = [lambda x: x * x, lambda x: x, lambda x: 1.0,
                  lambda x: 1 / x, lambda x: 1 / (x * x)]
-        coef, resid = _fit(q, basis, [0.0])
+        coef, resid = _fit(lambda x: rat_eval(q, x), basis, [0.0])
         if resid > EXTRACT_RESIDUAL_TOL:
             raise DomainError(f"q is not a BHE normal form (fit residual {resid:.3g})")
         if abs(coef[0] - 1) > 1e-7:
@@ -332,16 +349,26 @@ def extract_normal_params(q, family: str, a=None) -> NormalParams:
     if family == "CHE":
         basis = [lambda x: 1.0, lambda x: 1 / x, lambda x: 1 / (x - 1),
                  lambda x: 1 / (x * x), lambda x: 1 / (x - 1) ** 2]
-        coef, resid = _fit(q, basis, [0.0, 1.0])
+        coef, resid = _fit(lambda x: rat_eval(q, x), basis, [0.0, 1.0])
         if resid > EXTRACT_RESIDUAL_TOL:
             raise DomainError(f"q is not a CHE normal form (fit residual {resid:.3g})")
         return NormalParams("CHE", {"A": -coef[0], "B": -coef[1], "C": -coef[2],
                                     "D": -coef[3], "E": -coef[4]})
     if family == "GHE":
+        # Evaluated expanded, the denominator loses ~5e-11 to cancellation
+        # next to its multiple roots, and normal_to_family amplifies that
+        # by 1/delta^2. 0 and 1 are exact roots: divide them out and
+        # evaluate q as (num/rest) / (x^m0 (x-1)^m1).
+        m0, rest = _deflate(q.den, 0.0)
+        m1, rest = _deflate(rest, 1.0)
+        rest_q = RatFun(q.num, rest)
+
+        def q_at(x):
+            return rat_eval(rest_q, x) / (x ** m0 * (x - 1) ** m1)
         if a is not None:
             candidates = [as_complex(a)]
         else:
-            candidates = [r for r in _clustered_roots(q.den)
+            candidates = [r for r in _clustered_roots(rest)
                           if abs(r) > 1e-4 and abs(r - 1) > 1e-4]
             if not candidates:
                 raise DomainError("no third singular point found in q's denominator")
@@ -352,7 +379,7 @@ def extract_normal_params(q, family: str, a=None) -> NormalParams:
                      lambda x, c=cand: 1 / (x - 1) ** 2,
                      lambda x, c=cand: 1 / (x - c) ** 2]
             try:
-                coef, resid = _fit(q, basis, [0.0, 1.0, cand])
+                coef, resid = _fit(q_at, basis, [0.0, 1.0, cand])
             except DomainError:
                 continue
             if best is None or resid < best[2]:

@@ -12,6 +12,7 @@ numeric tower avoids duplicating every code path per branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite as _isfinite
 from numbers import Complex as _Complex
 
 from .errors import DegreeCapError, NonFiniteError, PoleError, ZeroCoefficientError
@@ -32,16 +33,15 @@ NEG_INF = float("-inf")
 
 def as_complex(z) -> complex:
     """Coerce a scalar to `complex`, refusing non-finite components."""
-    if not isinstance(z, _Complex):
+    if type(z) is complex:  # fast path: skips the ABC check below
+        w = z
+    elif isinstance(z, _Complex):
+        w = complex(z)
+    else:
         raise TypeError(f"expected a complex scalar, got {type(z).__name__}")
-    w = complex(z)
-    if not (_finite(w.real) and _finite(w.imag)):
+    if not (_isfinite(w.real) and _isfinite(w.imag)):
         raise NonFiniteError(f"non-finite scalar {w!r}")
     return w
-
-
-def _finite(t: float) -> bool:
-    return t == t and t not in (float("inf"), float("-inf"))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (DegenerateError, DomainError, BranchError, HeunAirError,
                      ParamError, RemovablePointError)
 from .forms import BHEFamily, CHEFamily, Family, GHEFamily, LinearODE
 from .numkernel import POLY_X, Poly, RatFun, as_complex, rat_eval
-from .specialfns import (FnValue, erf_like, hyp0f1, hyp1f1, hyp2f1, inc_beta,
+from .specialfns import (FnValue, erf_like, hyp1f1, hyp2f1, inc_beta,
                          inc_gamma_upper, kummer_u, near_nonpositive_integer,
                          principal_power, whittaker)
 

@@ -27,6 +27,17 @@ prefactor) still estimate theirs. The double-precision loops stop once
 sum stops) or |delta - 1| < 1e-16, with a hard cap of MAX_TERMS_DEFAULT terms
 (override via the HEUN_AIR_MAX_TERMS environment variable).
 
+The double path keeps two bounded LRU memos, since one point of a basis
+repeats work: the members of a BHE or CHE basis sum four identical 1F1
+series at each x, and U's gamma factors depend on (a, b) only. The 1F1 memo
+holds the last 256 (value, cancel) results of the double-path 1F1 kernel,
+keyed on (a, b, z, term cap), so a lower HEUN_AIR_MAX_TERMS is never
+answered from a sum found under a higher one. The U memo holds the two
+gamma products of the connection formula for the last 16 (a, b). Each
+_guarded call still decides its own rerun, and the mpmath rerun is never
+memoized. Keys compare with ==, which equates +0.0 and -0.0; no result bit
+of either kernel was found to depend on the sign of a zero argument part.
+
 Branches: all fractional powers and logarithms are principal, arg in
 (-pi, pi], defined on the negative real axis and continuous from above (the
 C99/cmath convention, which mpmath shares). Functions whose defining data is
@@ -35,6 +46,7 @@ genuinely undefined at a point raise instead (DomainError/BranchError).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import threading
@@ -70,6 +82,10 @@ KUMMER_RE_THRESHOLD = -2.0
 
 #: erf/erfi guaranteed evaluation domain.
 ERF_MAX_ABS = 12.0
+
+#: Entries kept by the double path's memos: 1F1 sums and U's gamma factors.
+_MEMO_1F1 = 256
+_MEMO_U_FACTORS = 16
 
 
 def max_terms() -> int:
@@ -387,11 +403,37 @@ def _k_1f1_series(ctx, a, b, z):
 
 def _k_1f1(ctx, a, b, z):
     """1F1 with the Kummer transformation applied for strongly negative
-    Re(z) (alternating-series rescue); returns (value, cancel)."""
+    Re(z) (alternating-series rescue); returns (value, cancel). Memoized on
+    the double path only."""
+    if ctx.hp:
+        return _k_1f1_direct(ctx, a, b, z)
+    return _k_1f1_double(a, b, z, max_terms())
+
+
+def _k_1f1_direct(ctx, a, b, z):
     if ctx.re(z) < KUMMER_RE_THRESHOLD:
         v, cancel = _k_1f1_series(ctx, ctx.c(b) - ctx.c(a), b, -ctx.c(z))
         return ctx.exp(ctx.c(z)) * v, cancel
     return _k_1f1_series(ctx, a, b, z)
+
+
+@functools.lru_cache(maxsize=_MEMO_1F1)
+def _k_1f1_double(a, b, z, cap):
+    # cap is the key's copy of max_terms(), which the series reads itself
+    return _k_1f1_direct(_DOUBLE, a, b, z)
+
+
+def _u_factors(ctx, a, b):
+    """The z-independent factors of U's connection formula (DLMF 13.2.42).
+    The formula multiplies left to right, so it forms each product before
+    the z-dependent factor: memoizing the products keeps every bit."""
+    return (ctx.gamma(1 - b) * ctx.rgamma(a - b + 1),
+            ctx.gamma(b - 1) * ctx.rgamma(a))
+
+
+@functools.lru_cache(maxsize=_MEMO_U_FACTORS)
+def _u_factors_double(a, b):
+    return _u_factors(_DOUBLE, a, b)
 
 
 def _k_kummer_u(ctx, a, b, z):
@@ -399,8 +441,9 @@ def _k_kummer_u(ctx, a, b, z):
     a, b, z = ctx.c(a), ctx.c(b), ctx.c(z)
     m1, c1 = _k_1f1(ctx, a, b, z)
     m2, c2 = _k_1f1(ctx, a - b + 1, 2 - b, z)
-    t1 = ctx.gamma(1 - b) * ctx.rgamma(a - b + 1) * m1
-    t2 = ctx.gamma(b - 1) * ctx.rgamma(a) * ctx.power(z, 1 - b) * m2
+    g1, g2 = _u_factors(ctx, a, b) if ctx.hp else _u_factors_double(a, b)
+    t1 = g1 * m1
+    t2 = g2 * ctx.power(z, 1 - b) * m2
     u = t1 + t2
     peak = abs(t1) * max(c1, 1.0) + abs(t2) * max(c2, 1.0)
     return u, _export_cancel(peak, abs(u), ctx)

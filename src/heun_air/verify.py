@@ -17,7 +17,6 @@ checks the printed 0F1-combination basis.
 """
 from __future__ import annotations
 
-import cmath
 import random
 from dataclasses import dataclass, field
 

@@ -229,6 +229,24 @@ def test_extract_ghe_with_and_without_pole_hint():
     assert params_close(extract_normal_params(q, "GHE", a=2.3), want)
 
 
+def test_extract_ghe_detects_small_delta_families():
+    # |delta| ~ 0.1: normal_to_family amplifies errors in the extracted
+    # residues by ~1/delta^2, so q's denominator must not lose digits
+    for p in ((1.504052191767963, 0.10636802728193473, -0.6180896551645354,
+               1.580688936880684),
+              (1.532523804359965, -0.10456716473474814, -1.7636416603755514,
+               1.4651370471059835),
+              (1.564174920918658, -0.1319950681137705, 0.48625148550638464,
+               1.8841027210781038),
+              (1.543261802636465, -0.1012105798235925, 0.8626819642803327,
+               1.6827462017064896)):
+        q = family_to_normal(GHEFamily(*p)).c0
+        found = normal_to_family(extract_normal_params(q, "GHE"))
+        assert min(max(abs(got - want) / max(1.0, abs(want))
+                       for got, want in zip((g.a, g.delta, g.sigma, g.tau), p))
+                   for g in found) <= 2e-10
+
+
 def test_extract_accepts_ungauged_ode():
     sigma, tau = 0.6, 0.4
     ode = LinearODE(RatFun(poly_x(1, 2 * tau, -2), POLY_X),

@@ -5,7 +5,10 @@ the cross-multiplication equality predicate.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rng
@@ -63,6 +66,21 @@ def test_as_complex_rejects_non_finite():
         as_complex(float("nan"))
     with pytest.raises(NonFiniteError):
         as_complex(complex(1.0, float("inf")))
+
+
+def test_as_complex_returns_builtin_complex():
+    class Sub(complex):
+        pass
+    for v, want in ((np.complex128(1.5 - 2j), 1.5 - 2j), (np.float64(0.25), 0.25),
+                    (Sub(3, -1), 3 - 1j), (True, 1), (Fraction(1, 3), 1 / 3)):
+        w = as_complex(v)
+        assert type(w) is complex and w == want
+    with pytest.raises(TypeError):
+        as_complex(Decimal("1.5"))  # not registered as numbers.Complex
+    with pytest.raises(NonFiniteError):
+        as_complex(np.complex128(complex(1.0, float("nan"))))
+    w = as_complex(complex(1.0, -0.0))  # the fast path keeps a signed zero
+    assert math.copysign(1.0, w.imag) == -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,19 @@ def test_max_terms_cap_forces_convergence_error(monkeypatch):
         fn(*args)  # default cap suffices
 
 
+def test_max_terms_cap_applies_after_uncapped_calls(monkeypatch):
+    # the double path remembers recent 1F1 sums; a sum found under the
+    # default cap must not stand in for one the lower cap refuses
+    monkeypatch.delenv(ENV_MAX_TERMS, raising=False)
+    hyp1f1(0.5, 1.5, 35.0)
+    kummer_u(0.5, 0.3, 35.0)
+    monkeypatch.setenv(ENV_MAX_TERMS, "40")
+    with pytest.raises(ConvergenceError, match="1F1 series"):
+        hyp1f1(0.5, 1.5, 35.0)
+    with pytest.raises(ConvergenceError, match="1F1 series"):
+        kummer_u(0.5, 0.3, 35.0)
+
+
 def test_max_terms_rejects_garbage(monkeypatch):
     for bad in ("abc", "0", "-5", ""):
         monkeypatch.setenv(ENV_MAX_TERMS, bad)
