@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ParamError
+# rat_eval is unused here, but perfbench/spans.py patches forms.rat_eval
 from .numkernel import (POLY_X, Poly, RAT_ZERO, RatFun, as_complex,
                         rat_derivative, rat_eval)
 
@@ -29,7 +28,8 @@ from .numkernel import (POLY_X, Poly, RAT_ZERO, RatFun, as_complex,
 #: detection (relative to max(1, magnitudes involved)).
 CONSTRAINT_TOL = 1e-8
 
-#: Least-squares extraction of pole coefficients must fit this well.
+#: Extraction: a partial-fraction coefficient outside the family's shape
+#: must be below this, relative to the largest in-shape one.
 EXTRACT_RESIDUAL_TOL = 1e-9
 
 #: Parameters smaller than this are treated as the excluded degenerate value.
@@ -257,145 +257,115 @@ def family_to_normal_params(f: Family) -> NormalParams:
 
 
 # ---------------------------------------------------------------------------
-# extraction: q -> normal parameters (evaluation + least squares)
+# extraction: q -> normal parameters (exact partial fractions)
 # ---------------------------------------------------------------------------
 
-def _sample_points(poles: list[complex], count: int = 12) -> list[complex]:
-    # two rings around the singularity cluster: resolves both the second-order
-    # pole coefficients (inner ring) and the 1/x tails (outer ring)
-    pts = []
-    k = 0
-    while len(pts) < count and k < 400:
-        radius = 0.85 if k % 2 == 0 else 2.4
-        angle = 0.4 + 2.39996 * k  # golden-angle stepping, never periodic
-        x = 0.5 + radius * cmath.exp(1j * angle)
-        k += 1
-        if all(abs(x - p) >= 0.2 for p in poles):
-            pts.append(x)
-    if len(pts) < count:
-        raise DomainError("could not place extraction sample points away from poles")
-    return pts
+#: Partial-fraction shape of each family's q (NormalParams' docstring):
+#: key -> (pole, order), the coefficient of (x - pole)^-order, or of
+#: x^order at pole "inf"; "a" is GHE's third singular point. "x2" (must be
+#: 1) and "res_a" (must be A + B) are checks, not NormalParams keys.
+_SHAPES = {
+    "BHE": {"x2": ("inf", 2), "B": ("inf", 1), "C": ("inf", 0),
+            "D": (0, 1), "E": (0, 2)},
+    "CHE": {"A": ("inf", 0), "B": (0, 1), "C": (1, 1), "D": (0, 2), "E": (1, 2)},
+    "GHE": {"A": (0, 1), "B": (1, 1), "res_a": ("a", 1), "D": (0, 2),
+            "E": (1, 2), "F": ("a", 2)},
+}
 
 
-def _fit(q_at, basis, poles) -> tuple[np.ndarray, float]:
-    pts = _sample_points(poles)
-    mat = np.array([[b(x) for b in basis] for x in pts], dtype=complex)
-    rhs = np.array([q_at(x) for x in pts], dtype=complex)
-    coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = np.linalg.norm(mat @ coef - rhs) / max(1.0, np.linalg.norm(rhs))
-    return coef, float(resid)
+def _divide(coeffs, root):
+    """Synthetic division by (x - root): (quotient, remainder), ascending."""
+    acc, quot = 0j, []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        quot.append(acc)
+    return quot[-2::-1], (quot[-1] if quot else 0j)
 
 
-def _deflate(p: Poly, root: float) -> tuple[int, Poly]:
-    """Divide (x - root) out of p for as long as the remainder is rounding
-    noise; returns the multiplicity and the cofactor."""
-    scale = sum(abs(c) for c in p.coeffs)
+def _deflate(coeffs, root):
+    """Divide (x - root) out of coeffs for as long as the remainder is
+    rounding noise; returns the multiplicity and the cofactor."""
+    scale = sum(abs(c) for c in coeffs)
     m = 0
-    while p.degree >= 1:
-        acc, quot = 0j, []
-        for c in reversed(p.coeffs):  # synthetic division
-            acc = acc * root + c
-            quot.append(acc)
-        if abs(quot.pop()) > 1e-10 * scale:
+    while len(coeffs) > 1:
+        quot, rem = _divide(coeffs, root)
+        if abs(rem) > 1e-10 * scale:
             break
-        p = Poly(reversed(quot))
-        m += 1
-    return m, p
+        coeffs, m = quot, m + 1
+    return m, coeffs
 
 
-def _clustered_roots(p: Poly, radius: float = 5e-3) -> list[complex]:
-    """Distinct denominator roots, with multiple-root clusters collapsed to
-    their mean. A numerically split m-fold root scatters its copies
-    symmetrically (leading error ~eps^(1/m) around the true root), so the
-    cluster mean recovers the root to ~eps^(2/m)."""
-    if p.degree < 1:
-        return []
-    roots = sorted((complex(r) for r in np.roots(list(reversed(p.coeffs)))),
-                   key=lambda r: (r.real, r.imag))
-    clusters: list[list[complex]] = []
-    for r in roots:
-        for cl in clusters:
-            if abs(r - cl[0]) <= radius:
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [sum(cl) / len(cl) for cl in clusters]
+def _series(num, at, factors, n) -> list[complex]:
+    """First n Taylor coefficients in t of num(at + t) / prod (c0 + c1 t)^m
+    over factors (c0, c1, m), c0 != 0. Those of num are repeated synthetic
+    division's remainders; the denominator is expanded from its factors."""
+    den = [1] + [0] * n
+    for c0, c1, m in factors:
+        for _ in range(m):
+            den = [c0 * u + c1 * v for u, v in zip(den + [0], [0] + den)]
+    s = []
+    for k in range(n):
+        num, rem = _divide(num, at)
+        s.append((rem - sum(den[j] * s[k - j] for j in range(1, k + 1))) / den[0])
+    return s
 
 
 def extract_normal_params(q, family: str, a=None) -> NormalParams:
-    """Recover pole coefficients of q by sampling at 12 generic points and
-    least-squares fitting against the family's pole basis. The fit residual
-    must be below EXTRACT_RESIDUAL_TOL or the q is declared outside the
-    family's normal shape (DomainError).
+    """Recover the pole coefficients of q as exact partial fractions.
 
-    Accepts a RatFun q or a LinearODE (normal-formed first if c1 != 0). For
-    GHE the third singular point a is located from the denominator roots
-    when not supplied.
+    q's denominator is deflated at the family's singular points in turn: 0,
+    1 and for GHE the third point a, the caller's hint or else the mean root
+    of what 0 and 1 leave (exact for (x - a)^m). A q whose denominator
+    keeps a root elsewhere, even one its numerator cancels, is refused
+    (DomainError); no map of this package builds one. The principal part at
+    each pole is the Taylor series of q (x - pole)^m there, the polynomial
+    part that of the reversed polynomials at infinity. Every coefficient
+    outside the family's shape must be below EXTRACT_RESIDUAL_TOL times the
+    largest in-shape one, or q is declared outside the family's normal
+    shape (DomainError).
+
+    Accepts a RatFun q or a LinearODE (normal-formed first if c1 != 0).
     """
     if isinstance(q, LinearODE):
         q = q.c0 if q.c1.num.is_zero() else to_normal_form(q)[0]
-    if family == "BHE":
-        basis = [lambda x: x * x, lambda x: x, lambda x: 1.0,
-                 lambda x: 1 / x, lambda x: 1 / (x * x)]
-        coef, resid = _fit(lambda x: rat_eval(q, x), basis, [0.0])
-        if resid > EXTRACT_RESIDUAL_TOL:
-            raise DomainError(f"q is not a BHE normal form (fit residual {resid:.3g})")
-        if abs(coef[0] - 1) > 1e-7:
-            raise DomainError(
-                f"q is not a BHE normal form (x^2 coefficient {coef[0]:.6g})")
-        return NormalParams("BHE", {"B": -coef[1], "C": -coef[2],
-                                    "D": -coef[3], "E": -coef[4]})
-    if family == "CHE":
-        basis = [lambda x: 1.0, lambda x: 1 / x, lambda x: 1 / (x - 1),
-                 lambda x: 1 / (x * x), lambda x: 1 / (x - 1) ** 2]
-        coef, resid = _fit(lambda x: rat_eval(q, x), basis, [0.0, 1.0])
-        if resid > EXTRACT_RESIDUAL_TOL:
-            raise DomainError(f"q is not a CHE normal form (fit residual {resid:.3g})")
-        return NormalParams("CHE", {"A": -coef[0], "B": -coef[1], "C": -coef[2],
-                                    "D": -coef[3], "E": -coef[4]})
-    if family == "GHE":
-        # Evaluated expanded, the denominator loses ~5e-11 to cancellation
-        # next to its multiple roots, and normal_to_family amplifies that
-        # by 1/delta^2. 0 and 1 are exact roots: divide them out and
-        # evaluate q as (num/rest) / (x^m0 (x-1)^m1).
-        m0, rest = _deflate(q.den, 0.0)
-        m1, rest = _deflate(rest, 1.0)
-        rest_q = RatFun(q.num, rest)
-
-        def q_at(x):
-            return rat_eval(rest_q, x) / (x ** m0 * (x - 1) ** m1)
-        if a is not None:
-            candidates = [as_complex(a)]
-        else:
-            candidates = [r for r in _clustered_roots(rest)
-                          if abs(r) > 1e-4 and abs(r - 1) > 1e-4]
-            if not candidates:
+    if family not in _SHAPES:
+        raise ParamError(f"unknown family {family!r}")
+    shape, num, den = _SHAPES[family], q.num.coeffs, q.den.coeffs
+    poles, rest = {}, den  # label -> (root, multiplicity)
+    for p in dict.fromkeys(p for p, _ in shape.values() if p != "inf"):
+        if p == "a" and a is None:
+            if len(rest) < 2:
                 raise DomainError("no third singular point found in q's denominator")
-        best = None
-        for cand in candidates:
-            basis = [lambda x, c=cand: 1 / x, lambda x, c=cand: 1 / (x - 1),
-                     lambda x, c=cand: 1 / (x - c), lambda x, c=cand: 1 / (x * x),
-                     lambda x, c=cand: 1 / (x - 1) ** 2,
-                     lambda x, c=cand: 1 / (x - c) ** 2]
-            try:
-                coef, resid = _fit(q_at, basis, [0.0, 1.0, cand])
-            except DomainError:
-                continue
-            if best is None or resid < best[2]:
-                best = (cand, coef, resid)
-        if best is None or best[2] > EXTRACT_RESIDUAL_TOL:
-            got = f"{best[2]:.3g}" if best else "n/a"
-            raise DomainError(f"q is not a GHE normal form (fit residual {got})")
-        cand, coef, _ = best
-        params = NormalParams("GHE", {"a": cand, "A": -coef[0], "B": -coef[1],
-                                      "D": -coef[3], "E": -coef[4], "F": -coef[5]})
-        # structural redundancy: the residue at x = a must equal A + B
-        # (the three first-order residues of q sum to zero)
-        if not _close(coef[2], params["A"] + params["B"], tol=1e-7):
-            raise DomainError("q's residue at x = a breaks the GHE residue relation")
-        return params
-    raise ParamError(f"unknown family {family!r}")
+            a = -rest[-2] / (len(rest) - 1)  # rest is monic
+        m, rest = _deflate(rest, r := a if p == "a" else p)
+        poles[p] = r, m
+    if len(rest) > 1:
+        raise DomainError(
+            f"q's denominator has roots away from the {family} singular points")
+    coef = {}
+    for p, (r, m) in poles.items():
+        others = [(r - s, 1, k) for o, (s, k) in poles.items() if o != p]
+        for k, c in enumerate(_series(num, r, others, m)):
+            coef[p, m - k] = c
+    top = len(num) - len(den)  # degree of the polynomial part
+    at_inf = [(1, -r, m) for r, m in poles.values()]
+    for k, c in enumerate(_series(num[::-1], 0, at_inf, top + 1)):
+        coef["inf", top - k] = c
+    got = {key: coef.get(at, 0j) for key, at in shape.items()}
+    stray = max((abs(c) for at, c in coef.items() if at not in shape.values()),
+                default=0.0)
+    if stray > EXTRACT_RESIDUAL_TOL * max(abs(c) for c in got.values()):
+        raise DomainError(f"q is not a {family} normal form "
+                          f"(stray partial-fraction coefficient {stray:.3g})")
+    if family == "BHE" and abs(got["x2"] - 1) > 1e-7:
+        raise DomainError(
+            f"q is not a BHE normal form (x^2 coefficient {got['x2']:.6g})")
+    # structural redundancy: the residue at x = a must equal A + B
+    # (the three first-order residues of q sum to zero)
+    if family == "GHE" and not _close(got["res_a"], -got["A"] - got["B"], tol=1e-7):
+        raise DomainError("q's residue at x = a breaks the GHE residue relation")
+    return NormalParams(family, {k: a if k == "a" else -got[k]
+                                 for k in _NORMAL_KEYS[family]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Family parametrizations and conversion maps: normal-form gauging, the
 closed-formula pole coefficients against independently assembled
-partial-fraction sums, least-squares extraction, inverse (detection) maps
-with all sign branches, and the canonical-parameter maps.
+partial-fraction sums, exact partial-fraction extraction, inverse
+(detection) maps with all sign branches, and the canonical-parameter maps.
 """
 from __future__ import annotations
 
@@ -253,6 +253,43 @@ def test_extract_accepts_ungauged_ode():
                     RatFun(poly_x(0, 2 * (tau + sigma)), POLY_ONE))
     got = extract_normal_params(ode, "BHE")
     assert params_close(got, family_to_normal_params(BHEFamily(sigma, tau)))
+
+
+def _ungauged_ghe(f: GHEFamily) -> LinearODE:
+    """The canonical GHE equation y'' + (gamma/x + delta/(x-1) +
+    epsilon/(x-a)) y' + (alpha beta x - q)/(x(x-1)(x-a)) y = 0, ungauged."""
+    c = family_to_canonical(f)[0]
+    a = c["a"]
+    c1 = -(RatFun(c["gamma"], POLY_X) + RatFun(c["delta"], poly_x(-1, 1))
+           + RatFun(c["epsilon"], poly_x(-a, 1)))
+    c0 = RatFun(poly_x(c["q"], -c["alpha"] * c["beta"]),
+                POLY_X * poly_x(-1, 1) * poly_x(-a, 1))
+    return LinearODE(c1, c0)
+
+
+def test_extract_accepts_ungauged_ghe_canonical_equation():
+    # to_normal_form leaves five-fold roots at 0, 1 and a in a degree-15
+    # denominator, three of each cancelled by the numerator
+    r = rng("extract-ungauged-ghe")
+    for _ in range(30):
+        f = draw_ghe(r)
+        got = extract_normal_params(_ungauged_ghe(f), "GHE")
+        assert params_close(got, family_to_normal_params(f), tol=1e-7)
+
+
+def test_extract_refuses_roots_away_from_the_singular_points():
+    f = GHEFamily(2.3, 0.5, 0.3, 0.4)
+    q = family_to_normal(f).c0
+    with pytest.raises(DomainError):
+        extract_normal_params(q, "GHE", a=2.0)  # wrong third point
+    with pytest.raises(DomainError):
+        # cofactor (x - 2.3)^3 (x - 4) is not a pure power of (x - a)
+        extract_normal_params(q + RatFun(0.3, poly_x(-4, 1)), "GHE")
+    with pytest.raises(DomainError):
+        extract_normal_params(q, "CHE")  # a pole at 2.3 is no CHE pole
+    with pytest.raises(DomainError):
+        # the cofactor x^2 + 1 has mean root 0, already divided out
+        extract_normal_params(RatFun(POLY_ONE, poly_x(0, 0, 1, 0, 1)), "GHE")
 
 
 def test_extract_rejects_foreign_shapes():
