@@ -202,15 +202,22 @@ def rat_eval(r: RatFun, x) -> complex:
     """Evaluate num(x)/den(x) by Horner's scheme.
 
     Raises PoleError when |den(x)| <= POLE_TOL * max(1, |x|^deg(den)), the
-    scale of den's own Horner evaluation.
+    scale of den's own Horner evaluation. The two Horner loops are
+    `Poly.__call__`'s, inlined so that x is coerced once.
     """
     x = as_complex(x)
-    dv = r.den(x)
-    deg = r.den.degree
+    den = r.den.coeffs
+    dv = 0j
+    for c in reversed(den):
+        dv = dv * x + c
+    deg = len(den) - 1
     scale = max(1.0, abs(x) ** deg) if deg > 0 else 1.0
     if abs(dv) <= POLE_TOL * scale:
         raise PoleError(f"denominator vanishes at x = {x!r}")
-    return r.num(x) / dv
+    nv = 0j
+    for c in reversed(r.num.coeffs):
+        nv = nv * x + c
+    return nv / dv
 
 
 def rat_derivative(r: RatFun) -> RatFun:

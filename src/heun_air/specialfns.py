@@ -25,7 +25,8 @@ terminating series whose value is exactly 0, is 0); the outer combinations
 prefactor) still estimate theirs. The double-precision loops stop once
 |term| <= 1e-16 |sum| three consecutive times (non-strict, so an exactly zero
 sum stops) or |delta - 1| < 1e-16, with a hard cap of MAX_TERMS_DEFAULT terms
-(override via the HEUN_AIR_MAX_TERMS environment variable).
+(override via the HEUN_AIR_MAX_TERMS environment variable, read once per
+public call and carried down by the double-precision context).
 
 The double path keeps two bounded LRU memos, since one point of a basis
 repeats work: the members of a BHE or CHE basis sum four identical 1F1
@@ -166,8 +167,10 @@ def _log_gamma(z) -> complex:
 
 def gamma(z) -> complex:
     """Complete gamma function (Lanczos approximation, reflection for
-    Re(z) < 0.5). Accurate to ~1e-13 relative for moderate |z|, and to
-    ~1e-12 in log form where sin(pi z) overflows (|Im z| >~ 225)."""
+    Re(z) < 0.5). Relative error at most 5e-13 on Re z in [-30, 60],
+    |Im z| <= 220 (against mpmath at 40 digits, the worst of 3000 seeded
+    points is 3.8e-13 to 4.6e-13, by seed), and ~1e-12 in log form where
+    sin(pi z) overflows (|Im z| >~ 225)."""
     z = as_complex(z)
     if near_nonpositive_integer(z):
         # sin(pi z) in the reflection below is never exactly zero in floating
@@ -222,10 +225,14 @@ def principal_power(z, w) -> complex:
 # ---------------------------------------------------------------------------
 
 class _DoubleCtx:
-    """Double-precision scalar context (builtin complex)."""
+    """Double-precision scalar context (builtin complex); its series and
+    continued fractions stop at `cap` terms."""
 
     hp = False
     tiny = TINY
+
+    def __init__(self, cap: int):
+        self.cap = cap
 
     c = staticmethod(complex)
 
@@ -290,7 +297,14 @@ class _MpCtx:
         return m.exp(w * m.log(z))
 
 
-_DOUBLE = _DoubleCtx()
+_DOUBLE = _DoubleCtx(MAX_TERMS_DEFAULT)
+
+
+def _double_ctx(cap: int) -> _DoubleCtx:
+    """The double-precision context under the term cap `cap`."""
+    return _DOUBLE if cap == MAX_TERMS_DEFAULT else _DoubleCtx(cap)
+
+
 _local = threading.local()
 
 
@@ -315,11 +329,12 @@ def _export_cancel(peak, mag_final, ctx) -> float:
     return min(f, 1e300)
 
 
-def _guarded(kernel, *args) -> complex:
-    """Run a kernel in double precision; re-run on mpmath scalars when its
-    cancellation estimate says double precision was insufficient."""
-    value, cancel = kernel(_DOUBLE, *args)
-    if _DOUBLE.finite(value) and cancel <= CANCEL_LIMIT:
+def _guarded(kernel, double, *args) -> complex:
+    """Run a kernel in the double-precision context `double`; re-run on
+    mpmath scalars when its cancellation estimate says double precision was
+    insufficient."""
+    value, cancel = kernel(double, *args)
+    if double.finite(value) and cancel <= CANCEL_LIMIT:
         return value
     dps = min(180, 26 + int(math.log10(max(cancel, 1.0))) + 6)
     for _ in range(3):
@@ -342,13 +357,13 @@ def _guarded(kernel, *args) -> complex:
 # Summation loops (double precision only) and kernels (context-generic)
 # ---------------------------------------------------------------------------
 
-def _sum_series(first, step, what):
-    """first + sum of the terms term = step(term, n), n = 0, 1, ...; returns
-    (sum, peak), peak being the largest |term| or |partial sum| reached."""
+def _sum_series(first, step, what, cap):
+    """first + sum of the terms term = step(term, n), n = 0, 1, ..., at most
+    cap of them; returns (sum, peak), peak being the largest |term| or
+    |partial sum| reached."""
     term = s = first
     peak = abs(s)
     below = 0
-    cap = max_terms()
     for n in range(cap):
         term = step(term, n)
         s = s + term
@@ -367,14 +382,13 @@ def _sum_series(first, step, what):
     raise ConvergenceError(f"{what} did not converge within {cap} terms")
 
 
-def _lentz(b0, a_n, b_n, what):
+def _lentz(b0, a_n, b_n, what, cap):
     """b0 + a_1/(b_1 + a_2/(b_2 + ...)) by the modified Lentz method
-    (Thompson and Barnett, J. Comput. Phys. 64, 1986); a_n and b_n map
-    n >= 1 to the partial numerators and denominators."""
+    (Thompson and Barnett, J. Comput. Phys. 64, 1986), within cap terms;
+    a_n and b_n map n >= 1 to the partial numerators and denominators."""
     f = b0 if abs(b0) > TINY else complex(TINY)
     c_ = f
     d = 0j
-    cap = max_terms()
     for n in range(1, cap):
         an, bn = a_n(n), b_n(n)
         d = bn + an * d
@@ -397,7 +411,8 @@ def _k_1f1_series(ctx, a, b, z):
     if ctx.hp:
         return ctx.hyp1f1(a, b, z), 1.0
     s, peak = _sum_series(
-        1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1), "1F1 series")
+        1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1),
+        "1F1 series", ctx.cap)
     return s, _export_cancel(peak, abs(s), ctx)
 
 
@@ -407,7 +422,7 @@ def _k_1f1(ctx, a, b, z):
     the double path only."""
     if ctx.hp:
         return _k_1f1_direct(ctx, a, b, z)
-    return _k_1f1_double(a, b, z, max_terms())
+    return _k_1f1_double(a, b, z, ctx.cap)
 
 
 def _k_1f1_direct(ctx, a, b, z):
@@ -419,8 +434,8 @@ def _k_1f1_direct(ctx, a, b, z):
 
 @functools.lru_cache(maxsize=_MEMO_1F1)
 def _k_1f1_double(a, b, z, cap):
-    # cap is the key's copy of max_terms(), which the series reads itself
-    return _k_1f1_direct(_DOUBLE, a, b, z)
+    # the key holds the term cap, so no sum stands in for a lower cap's
+    return _k_1f1_direct(_double_ctx(cap), a, b, z)
 
 
 def _u_factors(ctx, a, b):
@@ -455,7 +470,7 @@ def _k_2f1_series(ctx, a, b, c, z):
         return ctx.hyp2f1(a, b, c, z), 1.0
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
-        "2F1 series")
+        "2F1 series", ctx.cap)
     return s, _export_cancel(peak, abs(s), ctx)
 
 
@@ -475,7 +490,8 @@ def _k_0f1(ctx, b, z):
     b, z = ctx.c(b), ctx.c(z)
     if ctx.hp:
         return ctx.hyp0f1(b, z), 1.0
-    s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)), "0F1 series")
+    s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)),
+                          "0F1 series", ctx.cap)
     return s, _export_cancel(peak, abs(s), ctx)
 
 
@@ -491,11 +507,12 @@ def _k_erf(ctx, z):
         z2 = z * z
         s, peak = _sum_series(
             z, lambda t, n: t * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3)),
-            "erf series")
+            "erf series", ctx.cap)
         return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s), ctx)
     # 1/(sqrt(pi) e^(w^2) erfc w) = w + (1/2)/(w + 1/(w + (3/2)/(w + ...))), Re w > 0
     w = z if z.real > 0 else -z
-    f = _lentz(w, lambda n: complex(n) / 2, lambda n: w, "erfc continued fraction")
+    f = _lentz(w, lambda n: complex(n) / 2, lambda n: w,
+               "erfc continued fraction", ctx.cap)
     erfc_w = cmath.exp(-w * w) / _SQRT_PI / f
     erf_w = 1 - erfc_w
     cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w), ctx)
@@ -513,11 +530,11 @@ def _k_igam_upper(ctx, a, z):
         # Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))
         f = _lentz(z + 1 - a, lambda n: -n * (n - a),
                    lambda n: z + 2 * n + 1 - a,
-                   "incomplete-gamma continued fraction")
+                   "incomplete-gamma continued fraction", ctx.cap)
         return cmath.exp(-z) * principal_power(z, a) / f, 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
     s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
-                          "incomplete-gamma series")
+                          "incomplete-gamma series", ctx.cap)
     lower = principal_power(z, a) * cmath.exp(-z) * s
     g = gamma(a)
     v = g - lower
@@ -546,8 +563,9 @@ def hyp1f1(a, b, z) -> FnValue:
     a, b, z = as_complex(a), as_complex(b), as_complex(z)
     if near_nonpositive_integer(b):
         raise ParamError(f"1F1 undefined: b = {b!r} at a nonpositive integer")
-    value = _guarded(_k_1f1, a, b, z)
-    deriv = (a / b) * _guarded(_k_1f1, a + 1, b + 1, z)
+    double = _double_ctx(max_terms())
+    value = _guarded(_k_1f1, double, a, b, z)
+    deriv = (a / b) * _guarded(_k_1f1, double, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -563,8 +581,9 @@ def kummer_u(a, b, z) -> FnValue:
         raise ParamError(f"U connection formula degenerate: b = {b!r} at an integer")
     if z == 0:
         raise DomainError("U undefined at z = 0")
-    value = _guarded(_k_kummer_u, a, b, z)
-    deriv = -a * _guarded(_k_kummer_u, a + 1, b + 1, z)
+    double = _double_ctx(max_terms())
+    value = _guarded(_k_kummer_u, double, a, b, z)
+    deriv = -a * _guarded(_k_kummer_u, double, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -580,8 +599,9 @@ def hyp2f1(a, b, c, z) -> FnValue:
         raise ParamError(f"2F1 undefined: c = {c!r} at a nonpositive integer")
     if abs(z) >= 1.0:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
-    value = _guarded(_k_2f1, a, b, c, z)
-    deriv = (a * b / c) * _guarded(_k_2f1, a + 1, b + 1, c + 1, z)
+    double = _double_ctx(max_terms())
+    value = _guarded(_k_2f1, double, a, b, c, z)
+    deriv = (a * b / c) * _guarded(_k_2f1, double, a + 1, b + 1, c + 1, z)
     return FnValue(value, deriv)
 
 
@@ -590,8 +610,9 @@ def hyp0f1(b, z) -> FnValue:
     b, z = as_complex(b), as_complex(z)
     if near_nonpositive_integer(b):
         raise ParamError(f"0F1 undefined: b = {b!r} at a nonpositive integer")
-    value = _guarded(_k_0f1, b, z)
-    deriv = (1 / b) * _guarded(_k_0f1, b + 1, z)
+    double = _double_ctx(max_terms())
+    value = _guarded(_k_0f1, double, b, z)
+    deriv = (1 / b) * _guarded(_k_0f1, double, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -623,11 +644,12 @@ def erf_like(kind: str, z) -> FnValue:
     if abs(z) > ERF_MAX_ABS:
         raise ConvergenceError(
             f"erf/erfi guaranteed only for |z| <= {ERF_MAX_ABS:g}, got |z| = {abs(z):.6g}")
+    double = _double_ctx(max_terms())
     if kind == "erf":
-        value = _guarded(_k_erf, z)
+        value = _guarded(_k_erf, double, z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(-z * z)
     else:
-        value = -1j * _guarded(_k_erf, 1j * z)
+        value = -1j * _guarded(_k_erf, double, 1j * z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(z * z)
     return FnValue(value, deriv)
 
@@ -654,7 +676,7 @@ def inc_gamma_upper(a, z) -> FnValue:
         if not (z.real > 0 and az >= max(6.0, abs(a) + 2.0)):
             raise ParamError(
                 f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
-    value = _guarded(_k_igam_upper, a, z)
+    value = _guarded(_k_igam_upper, _double_ctx(max_terms()), a, z)
     deriv = -principal_power(z, a - 1) * cmath.exp(-z)
     return FnValue(value, deriv)
 
@@ -674,6 +696,6 @@ def inc_beta(x, a, b) -> FnValue:
         raise BranchError(f"B_x undefined for real x >= 1, got x = {x.real:.6g}")
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
-    value = _guarded(_k_inc_beta, x, a, b)
+    value = _guarded(_k_inc_beta, _double_ctx(max_terms()), x, a, b)
     deriv = principal_power(x, a - 1) * principal_power(1 - x, b - 1)
     return FnValue(value, deriv)

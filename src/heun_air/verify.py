@@ -9,7 +9,9 @@ Three checks, each independent of the closed-form construction it verifies:
                      two solutions is constant; measures its relative drift;
 * rk45_compare     — re-integrates the ODE with an adaptive embedded
                      Runge-Kutta 5(4) pair from initial conditions read off
-                     each member, and reports the relative deviation.
+                     each member, and reports the relative deviation;
+                     each step reuses its predecessor's last stage, and a
+                     zero c1 (every normal form) is never evaluated.
 
 plus paper_example_suite(), which rebuilds the four-singularity showcase
 equation from its hypergeometric seed via the non-local map and residual
@@ -151,6 +153,8 @@ def wronskian_check(basis: SolutionBasis, xs,
 # adaptive Runge-Kutta 5(4), Dormand-Prince pair
 # ---------------------------------------------------------------------------
 
+#: The last row holds the fifth-order weights (the seventh weight is 0):
+#: that stage is fn(x + h, new), the next step's first.
 _RK_A = (
     (),
     (1 / 5,),
@@ -161,44 +165,70 @@ _RK_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _RK_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_RK_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _RK_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
            -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _rk_advance(fn, x: float, u: tuple[complex, complex], target: float,
                 rtol: float, atol: float, min_step: float,
-                h_work: float | None = None):
+                h_work: float | None = None, f=None):
     """Advance the 2-component complex state u from x to target; h_work is
     the step controller's carried step magnitude (returned so successive
-    targets do not reset the step)."""
+    targets do not reset the step), and f is fn(x, u) when the caller has
+    it. Returns (u, h_work, f), where f is fn(target, u) when the last step
+    landed exactly on target and None otherwise.
+
+    The seven stages are written out, each sum taken left to right over its
+    row of the tableau with the zero weights left out. The last stage is
+    fn(x + h, new), so an accepted step hands it on as the next step's first
+    (first same as last), and a rejected step keeps its first stage."""
     if target == x:
-        return u, h_work
+        return u, h_work, f
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _RK_A
+    _, c2, c3, c4, c5, _, _ = _RK_C
+    e1, _, e3, e4, e5, e6, e7 = _RK_ERR
     direction = 1.0 if target > x else -1.0
     if h_work is None:
         h_work = max(min_step * 10, abs(target - x) / 16)
     while direction * (target - x) > 0:
         clamped = abs(target - x) < h_work
         h = direction * min(h_work, abs(target - x))
-        ks = []
-        for i in range(7):
-            xi = x + _RK_C[i] * h
-            ui = u
-            if i:
-                acc0 = sum(_RK_A[i][j] * ks[j][0] for j in range(i))
-                acc1 = sum(_RK_A[i][j] * ks[j][1] for j in range(i))
-                ui = (u[0] + h * acc0, u[1] + h * acc1)
-            ks.append(fn(xi, ui))
-        new = (u[0] + h * sum(b * k[0] for b, k in zip(_RK_B5, ks)),
-               u[1] + h * sum(b * k[1] for b, k in zip(_RK_B5, ks)))
-        err0 = h * sum(e * k[0] for e, k in zip(_RK_ERR, ks))
-        err1 = h * sum(e * k[1] for e, k in zip(_RK_ERR, ks))
+        u0, u1 = u
+        if f is None:
+            f = fn(x, u)
+        k10, k11 = f
+        k20, k21 = fn(x + c2 * h, (u0 + h * (a21 * k10),
+                                   u1 + h * (a21 * k11)))
+        k30, k31 = fn(x + c3 * h, (u0 + h * (a31 * k10 + a32 * k20),
+                                   u1 + h * (a31 * k11 + a32 * k21)))
+        k40, k41 = fn(x + c4 * h, (
+            u0 + h * (a41 * k10 + a42 * k20 + a43 * k30),
+            u1 + h * (a41 * k11 + a42 * k21 + a43 * k31)))
+        k50, k51 = fn(x + c5 * h, (
+            u0 + h * (a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40),
+            u1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41)))
+        k60, k61 = fn(x + h, (
+            u0 + h * (a61 * k10 + a62 * k20 + a63 * k30 + a64 * k40
+                      + a65 * k50),
+            u1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41
+                      + a65 * k51)))
+        new0 = u0 + h * (b1 * k10 + b3 * k30 + b4 * k40 + b5 * k50
+                         + b6 * k60)
+        new1 = u1 + h * (b1 * k11 + b3 * k31 + b4 * k41 + b5 * k51
+                         + b6 * k61)
+        last = fn(x + h, (new0, new1))
+        k70, k71 = last
+        err0 = h * (e1 * k10 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60
+                    + e7 * k70)
+        err1 = h * (e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61
+                    + e7 * k71)
         norm = max(
-            abs(err0) / (atol + rtol * max(abs(u[0]), abs(new[0]))),
-            abs(err1) / (atol + rtol * max(abs(u[1]), abs(new[1]))))
+            abs(err0) / (atol + rtol * max(abs(u0), abs(new0))),
+            abs(err1) / (atol + rtol * max(abs(u1), abs(new1))))
         if norm <= 1.0:
             x += h
-            u = new
+            u, f = (new0, new1), last
         factor = min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0 else 5.0
         if norm > 1.0 or not clamped:
             # keep the carried step when a shortened final stretch succeeds
@@ -207,7 +237,7 @@ def _rk_advance(fn, x: float, u: tuple[complex, complex], target: float,
             raise StiffnessError(
                 f"step size {h_work:.3e} collapsed below {min_step:.3e} "
                 f"at x = {x:.6g}")
-    return u, h_work
+    return u, h_work, (f if x == target else None)
 
 
 def rk45_compare(ode: LinearODE, basis: SolutionBasis, x0, interval,
@@ -224,12 +254,20 @@ def rk45_compare(ode: LinearODE, basis: SolutionBasis, x0, interval,
     x0 = x0.real
     min_step = RK_MIN_STEP * abs(b - a)
 
-    def fn(x, u):
-        c1x = rat_eval(ode.c1, complex(x))
-        c0x = rat_eval(ode.c0, complex(x))
-        return (u[1], c1x * u[1] + c0x * u[0])
+    ev = rat_eval  # read per call, so that a patched verify.rat_eval counts
+    c1, c0 = ode.c1, ode.c0
+    if c1.num.is_zero() and c1.den.degree == 0:
+        # c1 = 0 over a constant denominator has no pole: leave it out
+        def fn(x, u):
+            return (u[1], ev(c0, complex(x)) * u[0])
+    else:
+        def fn(x, u):
+            c1x = ev(c1, complex(x))
+            c0x = ev(c0, complex(x))
+            return (u[1], c1x * u[1] + c0x * u[0])
 
     targets = [a + (b - a) * i / (samples - 1) for i in range(samples)]
+    at = targets.__getitem__
     rows: list[CheckRow] = []
     for name, member in (("y1", basis.y1), ("y2", basis.y2)):
         try:
@@ -241,14 +279,17 @@ def rk45_compare(ode: LinearODE, basis: SolutionBasis, x0, interval,
             continue
         scale_v = max(abs(r[0]) for r in ref) or 1.0
         scale_d = max(abs(r[1]) for r in ref) or 1.0
-        for go in (sorted([t for t in targets if t >= x0]),
-                   sorted([t for t in targets if t < x0], reverse=True)):
-            x, u, h_work = x0, u0, None
-            for t in go:
-                u, h_work = _rk_advance(fn, x, u, t, rtol, atol, min_step,
-                                        h_work)
+        for go in (sorted([i for i in range(samples) if at(i) >= x0],
+                          key=at),
+                   sorted([i for i in range(samples) if at(i) < x0],
+                          key=at, reverse=True)):
+            x, u, h_work, f = x0, u0, None, None
+            for i in go:
+                t = targets[i]
+                u, h_work, f = _rk_advance(fn, x, u, t, rtol, atol,
+                                           min_step, h_work, f)
                 x = t
-                rv, rd = ref[targets.index(t)]
+                rv, rd = ref[i]
                 dev = max(abs(u[0] - rv) / max(abs(rv), 1e-3 * scale_v),
                           abs(u[1] - rd) / max(abs(rd), 1e-3 * scale_d))
                 rows.append(CheckRow("rk45", name, complex(t), dev,

@@ -11,7 +11,11 @@ float as `float.hex`, so signed zeros and last-bit changes show:
   workload for seeds 1-3 (60 rounds of one draw per family);
 * `verify`: for seeds 1-3, 15 draws of every family and branch
   from the `verify` workload's streams, at the `heun-air verify` points
-  and 20 points in each RK window, and the benchmark's fixed basis;
+  and 20 points in each RK window, and the benchmark's fixed basis; and
+  for each of these bases, every row of `verify_basis` at the
+  `heun-air verify` points and RK windows (check, member, x, value and
+  status) and the report's status, row count and three aggregates (or
+  the error it raised);
 * for every basis: `formula`, `classification`, `valid_domain`,
   `probe_point`, `family` and `derived`, the coefficients of
   `family_to_normal`, (y, y') of both members at every point (or the
@@ -70,7 +74,9 @@ class Dumper:
     def family(self, d):
         return getattr(self.H.forms, f"{d.kind}Family")(*d.params)
 
-    def basis(self, tag: str, d, xs) -> None:
+    def basis(self, tag: str, d, xs):
+        """Dump one draw's basis at xs; returns the basis, or None when
+        `solve_family` refuses the draw."""
         H = self.H
         self.line(tag, "draw", d.kind, d.branch, *(_hex(p) for p in d.params))
         f = self.family(d)
@@ -83,7 +89,7 @@ class Dumper:
             b = H.solutions.solve_family(f)
         except H.errors.HeunAirError as exc:
             self.line(tag, "solve", _error(exc))
-            return
+            return None
         fam = b.family
         self.line(tag, "meta", b.formula, b.classification,
                   repr(b.valid_domain), _hex(b.probe_point),
@@ -101,6 +107,27 @@ class Dumper:
                 self.line(tag, name, _hex(x), got)
         csv = H.cli.render_csv(H.solutions.eval_basis(b, xs))
         self.line(tag, "csv", _sha(csv))
+        return b
+
+    def report(self, tag: str, d, b) -> None:
+        """Dump every row and aggregate of `verify_basis` on a basis, as
+        the benchmark's `verify` workload calls it."""
+        H, bench = self.H, self.bench
+        try:
+            rep = H.verify.verify_basis(
+                H.forms.family_to_normal(self.family(d)), b,
+                bench.VERIFY_POINTS[d.kind],
+                rk_window=bench.VERIFY_WINDOWS[d.kind],
+                residual_tol=bench.RESIDUAL_TOL[d.branch])
+        except H.errors.HeunAirError as exc:
+            self.line(tag, "report", _error(exc))
+            return
+        for r in rep.rows:
+            self.line(tag, "row", r.check, r.member, _hex(r.x),
+                      r.value.hex(), r.status)
+        self.line(tag, "report", rep.status, rep.points_checked,
+                  *(v.hex() for v in (rep.max_residual, rep.wronskian_drift,
+                                      rep.rk_max_rel_error)))
 
     def tabulate(self, seed: int) -> None:
         draws = self.bench.draws
@@ -126,12 +153,14 @@ class Dumper:
                 for k in draws.KINDS for b in draws.BRANCHES]
 
     def verify(self, seed: int) -> None:
-        for s in self.verify_streams(seed):
-            for i in range(VERIFY_DRAWS):
-                d = next(s)
-                self.basis(f"verify:{seed}:{i}", d, self.verify_points(d.kind))
-        d = self.bench.KNOWN_FALSE_ALARM
-        self.basis(f"verify:{seed}:alarm", d, self.verify_points(d.kind))
+        draws = [(f"verify:{seed}:{i}", next(s))
+                 for s in self.verify_streams(seed)
+                 for i in range(VERIFY_DRAWS)]
+        draws.append((f"verify:{seed}:alarm", self.bench.KNOWN_FALSE_ALARM))
+        for tag, d in draws:
+            b = self.basis(tag, d, self.verify_points(d.kind))
+            if b is not None:
+                self.report(tag, d, b)
 
     def cli_call(self, tag: str, tmp: str, argv, doc=None) -> None:
         if doc is not None:
