@@ -36,9 +36,9 @@ EXTRACT_RESIDUAL_TOL = 1e-9
 DEGENERACY_TOL = 1e-12
 
 
-def _close(u, v, scale_floor: float = 1.0, tol: float = CONSTRAINT_TOL) -> bool:
+def _close(u, v, tol: float = CONSTRAINT_TOL) -> bool:
     u, v = complex(u), complex(v)
-    return abs(u - v) <= tol * max(scale_floor, abs(u), abs(v))
+    return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
 
 
 @dataclass(frozen=True)

@@ -9,30 +9,32 @@ argument, so solution members can be assembled with exact product/chain rules
 
 Numeric architecture
 --------------------
-Every function is computed by a kernel written against a minimal scalar
-context. The default context is double precision (builtin complex, Lanczos
-gamma); there every series is summed by _sum_series and both continued
-fractions by the modified-Lentz loop _lentz. Kernels track a running
-cancellation estimate -- the peak magnitude reached by partial sums/terms
-divided by the final magnitude. When the estimate exceeds CANCEL_LIMIT (so
-double precision could not deliver ~1e-13 relative accuracy), the kernel is
-re-run on mpmath scalars at a working precision chosen from the estimate, in
-a private mpmath context per thread. There the series, erf and the incomplete
-gamma are mpmath's own evaluators, which raise their own precision and report
-a cancellation of 1 (a sum cancelling below the working precision, such as a
-terminating series whose value is exactly 0, is 0); the outer combinations
-(the U connection formula, the Kummer and Euler transformations, the B_x
-prefactor) still estimate theirs. The double-precision loops stop once
-|term| <= 1e-16 |sum| three consecutive times (non-strict, so an exactly zero
-sum stops) or |delta - 1| < 1e-16, with a hard cap of MAX_TERMS_DEFAULT terms
-(override via the HEUN_AIR_MAX_TERMS environment variable, read once per
-public call and carried down by the double-precision context).
+Every function has one double-precision kernel, _k_*(cap, ...), on builtin
+complex with the Lanczos gamma, and one mpmath rerun, _mp_*(m, ...). In the
+kernels every series is summed by _sum_series and both continued fractions
+by the modified-Lentz loop _lentz, which stop once |term| <= 1e-16 |sum|
+three consecutive times (non-strict, so an exactly zero sum stops) or
+|delta - 1| < 1e-16, within the term cap: MAX_TERMS_DEFAULT, or the
+HEUN_AIR_MAX_TERMS environment variable, read once per public call. Each
+kernel also returns a cancellation estimate -- the peak magnitude reached by
+partial sums/terms divided by the final magnitude. _guarded runs the kernel,
+and when the estimate exceeds CANCEL_LIMIT (so double precision could not
+deliver ~1e-13 relative accuracy) it runs the rerun at a working precision
+chosen from the estimate, on this thread's private mpmath context m. A
+rerun calls mpmath's own 0F1/1F1/2F1, erf and incomplete gamma, which raise
+their own precision; a sum cancelling below the working precision, such as
+a terminating series whose value is exactly 0, is 0. Only the outer
+combinations are written out on mpmath scalars: the U connection formula,
+the Kummer and Euler transformations and the B_x prefactor. U's rerun alone
+estimates a cancellation, that of its connection formula; every other rerun
+reports 1. A rerun whose estimate is still too large for its precision is
+repeated at a higher one, at most three passes in all.
 
 The double path keeps two bounded LRU memos, since one point of a basis
 repeats work: the members of a BHE or CHE basis sum four identical 1F1
 series at each x, and U's gamma factors depend on (a, b) only. The 1F1 memo
 holds the last 256 (value, cancel) results of the double-path 1F1 kernel,
-keyed on (a, b, z, term cap), so a lower HEUN_AIR_MAX_TERMS is never
+keyed on (term cap, a, b, z), so a lower HEUN_AIR_MAX_TERMS is never
 answered from a sum found under a higher one. The U memo holds the two
 gamma products of the connection formula for the last 16 (a, b). Each
 _guarded call still decides its own rerun, and the mpmath rerun is never
@@ -189,11 +191,17 @@ def gamma(z) -> complex:
 
 
 def rgamma(z) -> complex:
-    """Reciprocal gamma, exact zeros at (near-)nonpositive integers."""
+    """Reciprocal gamma, with exact zeros at the nonpositive integers. Within
+    INT_TOL of one, n, the reflection takes sin(pi z) = (-1)^n sin(pi (z - n))
+    on the reduced argument, which keeps the relative accuracy."""
     z = as_complex(z)
-    if near_nonpositive_integer(z):
-        return 0j
     try:
+        if near_nonpositive_integer(z):
+            n = round(z.real)
+            if z == n:
+                return 0j
+            sign = -1 if n % 2 else 1
+            return sign * cmath.sin(cmath.pi * (z - n)) * gamma(1.0 - z) / cmath.pi
         if z.real < 0.5:
             return cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
         return 1.0 / gamma(z)
@@ -221,105 +229,25 @@ def principal_power(z, w) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Scalar contexts
+# Rerun guard
 # ---------------------------------------------------------------------------
-
-class _DoubleCtx:
-    """Double-precision scalar context (builtin complex); its series and
-    continued fractions stop at `cap` terms."""
-
-    hp = False
-    tiny = TINY
-
-    def __init__(self, cap: int):
-        self.cap = cap
-
-    c = staticmethod(complex)
-
-    @staticmethod
-    def re(z) -> float:
-        return complex(z).real
-
-    exp = staticmethod(cmath.exp)
-
-    power = staticmethod(principal_power)
-    gamma = staticmethod(gamma)
-    rgamma = staticmethod(rgamma)
-
-    @staticmethod
-    def finite(z) -> bool:
-        return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-class _MpCtx:
-    """mpmath scalar context on a private mpmath.MPContext, so that a rerun
-    never changes the global mpmath.mp precision. Not thread-safe: use one
-    instance per thread (_mp_ctx)."""
-
-    hp = True
-
-    def __init__(self):
-        m = self._m = mpmath.MPContext()
-        self.c = m.mpc
-        self.exp, self.gamma, self.rgamma = m.exp, m.gamma, m.rgamma
-        self.erf, self.gammainc = m.erf, m.gammainc
-        self.finite = m.isfinite
-
-    def set_dps(self, dps: int) -> None:
-        self._m.dps = dps
-        self.tiny = self._m.mpf(10) ** (-4 * dps)
-
-    # zeroprec: a sum that cancels below the working precision, such as a
-    # terminating series whose value is exactly 0, is 0 instead of a ValueError
-    def hyp0f1(self, b, z):
-        return self._m.hyp0f1(b, z, zeroprec=self._m.prec)
-
-    def hyp1f1(self, a, b, z):
-        return self._m.hyp1f1(a, b, z, zeroprec=self._m.prec)
-
-    def hyp2f1(self, a, b, c, z):
-        return self._m.hyp2f1(a, b, c, z, zeroprec=self._m.prec)
-
-    @staticmethod
-    def re(z) -> float:
-        return float(z.real)
-
-    def power(self, z, w):
-        m = self._m
-        z = m.mpc(z)
-        w = m.mpc(w)
-        if z == 0:
-            if w == 0:
-                return m.mpc(1)
-            if w.real > 0:
-                return m.mpc(0)
-            raise DomainError(f"0 raised to power {w!r} with nonpositive real part")
-        return m.exp(w * m.log(z))
-
-
-_DOUBLE = _DoubleCtx(MAX_TERMS_DEFAULT)
-
-
-def _double_ctx(cap: int) -> _DoubleCtx:
-    """The double-precision context under the term cap `cap`."""
-    return _DOUBLE if cap == MAX_TERMS_DEFAULT else _DoubleCtx(cap)
-
 
 _local = threading.local()
 
 
-def _mp_ctx(dps: int) -> _MpCtx:
-    """This thread's mpmath context, set to dps digits. Created once per
+def _mp_ctx(dps: int) -> mpmath.MPContext:
+    """This thread's private mpmath context, set to dps digits, so that a
+    rerun never changes the global mpmath.mp precision. Created once per
     thread: building an mpmath.MPContext costs about a millisecond."""
-    ctx = getattr(_local, "ctx", None)
-    if ctx is None:
-        ctx = _local.ctx = _MpCtx()
-    ctx.set_dps(dps)
-    return ctx
+    m = getattr(_local, "m", None)
+    if m is None:
+        m = _local.m = mpmath.MPContext()
+    m.dps = dps
+    return m
 
 
-def _export_cancel(peak, mag_final, ctx) -> float:
-    c = peak / max(mag_final, ctx.tiny)
+def _export_cancel(peak, mag_final, tiny) -> float:
+    c = peak / max(mag_final, tiny)
     try:
         f = float(c)
     except OverflowError:
@@ -329,21 +257,21 @@ def _export_cancel(peak, mag_final, ctx) -> float:
     return min(f, 1e300)
 
 
-def _guarded(kernel, double, *args) -> complex:
-    """Run a kernel in the double-precision context `double`; re-run on
-    mpmath scalars when its cancellation estimate says double precision was
+def _guarded(kernel, rerun, cap, *args) -> complex:
+    """Run a double-precision kernel under the term cap `cap`; run its mpmath
+    rerun when the cancellation estimate says double precision was
     insufficient."""
-    value, cancel = kernel(double, *args)
-    if double.finite(value) and cancel <= CANCEL_LIMIT:
+    value, cancel = kernel(cap, *args)
+    if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
     dps = min(180, 26 + int(math.log10(max(cancel, 1.0))) + 6)
     for _ in range(3):
-        ctx = _mp_ctx(dps)
+        m = _mp_ctx(dps)
         try:
-            v, cancel = kernel(ctx, *args)
+            v, cancel = rerun(m, *args)
         except NoConvergence as e:
             raise ConvergenceError(f"extended-precision evaluation: {e}") from None
-        ok = ctx.finite(v) and cancel < 10.0 ** (dps - 20)
+        ok = m.isfinite(v) and cancel < 10.0 ** (dps - 20)
         if ok:
             try:
                 return complex(v)
@@ -354,7 +282,7 @@ def _guarded(kernel, double, *args) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Summation loops (double precision only) and kernels (context-generic)
+# Summation loops and double-precision kernels, each with its mpmath rerun
 # ---------------------------------------------------------------------------
 
 def _sum_series(first, step, what, cap):
@@ -405,149 +333,167 @@ def _lentz(b0, a_n, b_n, what, cap):
     raise ConvergenceError(f"{what} did not converge within {cap} terms")
 
 
-def _k_1f1_series(ctx, a, b, z):
+def _k_1f1_series(cap, a, b, z):
     """Kummer series sum_n (a)_n/(b)_n z^n/n!; returns (sum, cancel)."""
-    a, b, z = ctx.c(a), ctx.c(b), ctx.c(z)
-    if ctx.hp:
-        return ctx.hyp1f1(a, b, z), 1.0
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1),
-        "1F1 series", ctx.cap)
-    return s, _export_cancel(peak, abs(s), ctx)
-
-
-def _k_1f1(ctx, a, b, z):
-    """1F1 with the Kummer transformation applied for strongly negative
-    Re(z) (alternating-series rescue); returns (value, cancel). Memoized on
-    the double path only."""
-    if ctx.hp:
-        return _k_1f1_direct(ctx, a, b, z)
-    return _k_1f1_double(a, b, z, ctx.cap)
-
-
-def _k_1f1_direct(ctx, a, b, z):
-    if ctx.re(z) < KUMMER_RE_THRESHOLD:
-        v, cancel = _k_1f1_series(ctx, ctx.c(b) - ctx.c(a), b, -ctx.c(z))
-        return ctx.exp(ctx.c(z)) * v, cancel
-    return _k_1f1_series(ctx, a, b, z)
+        "1F1 series", cap)
+    return s, _export_cancel(peak, abs(s), TINY)
 
 
 @functools.lru_cache(maxsize=_MEMO_1F1)
-def _k_1f1_double(a, b, z, cap):
-    # the key holds the term cap, so no sum stands in for a lower cap's
-    return _k_1f1_direct(_double_ctx(cap), a, b, z)
+def _k_1f1(cap, a, b, z):
+    """1F1 with the Kummer transformation applied for strongly negative
+    Re(z) (alternating-series rescue); returns (value, cancel). The memo key
+    holds the term cap, so no sum stands in for a lower cap's."""
+    if z.real < KUMMER_RE_THRESHOLD:
+        v, cancel = _k_1f1_series(cap, b - a, b, -z)
+        return cmath.exp(z) * v, cancel
+    return _k_1f1_series(cap, a, b, z)
 
 
-def _u_factors(ctx, a, b):
-    """The z-independent factors of U's connection formula (DLMF 13.2.42).
-    The formula multiplies left to right, so it forms each product before
-    the z-dependent factor: memoizing the products keeps every bit."""
-    return (ctx.gamma(1 - b) * ctx.rgamma(a - b + 1),
-            ctx.gamma(b - 1) * ctx.rgamma(a))
+# zeroprec: a sum that cancels below the working precision, such as a
+# terminating series whose value is exactly 0, is 0 instead of a ValueError
+def _mp_1f1(m, a, b, z):
+    a, b, z = m.mpc(a), m.mpc(b), m.mpc(z)
+    if float(z.real) < KUMMER_RE_THRESHOLD:
+        v = m.hyp1f1(b - a, b, -z, zeroprec=m.prec)
+        return m.exp(z) * v, 1.0
+    return m.hyp1f1(a, b, z, zeroprec=m.prec), 1.0
 
 
 @functools.lru_cache(maxsize=_MEMO_U_FACTORS)
-def _u_factors_double(a, b):
-    return _u_factors(_DOUBLE, a, b)
+def _u_factors(a, b):
+    """The z-independent factors of U's connection formula (DLMF 13.2.42).
+    The formula multiplies left to right, so it forms each product before
+    the z-dependent factor: memoizing the products keeps every bit."""
+    return gamma(1 - b) * rgamma(a - b + 1), gamma(b - 1) * rgamma(a)
 
 
-def _k_kummer_u(ctx, a, b, z):
+def _k_kummer_u(cap, a, b, z):
     """U via the two-term connection formula; returns (value, cancel)."""
-    a, b, z = ctx.c(a), ctx.c(b), ctx.c(z)
-    m1, c1 = _k_1f1(ctx, a, b, z)
-    m2, c2 = _k_1f1(ctx, a - b + 1, 2 - b, z)
-    g1, g2 = _u_factors(ctx, a, b) if ctx.hp else _u_factors_double(a, b)
+    m1, c1 = _k_1f1(cap, a, b, z)
+    m2, c2 = _k_1f1(cap, a - b + 1, 2 - b, z)
+    g1, g2 = _u_factors(a, b)
     t1 = g1 * m1
-    t2 = g2 * ctx.power(z, 1 - b) * m2
+    t2 = g2 * principal_power(z, 1 - b) * m2
     u = t1 + t2
     peak = abs(t1) * max(c1, 1.0) + abs(t2) * max(c2, 1.0)
-    return u, _export_cancel(peak, abs(u), ctx)
+    return u, _export_cancel(peak, abs(u), TINY)
 
 
-def _k_2f1_series(ctx, a, b, c, z):
-    a, b, c, z = ctx.c(a), ctx.c(b), ctx.c(c), ctx.c(z)
-    if ctx.hp:
-        return ctx.hyp2f1(a, b, c, z), 1.0
+def _mp_kummer_u(m, a, b, z):
+    """The connection formula on mpmath scalars (z != 0); the one rerun that
+    estimates a cancellation, that of the formula's two terms."""
+    a, b, z = m.mpc(a), m.mpc(b), m.mpc(z)
+    m1, _ = _mp_1f1(m, a, b, z)
+    m2, _ = _mp_1f1(m, a - b + 1, 2 - b, z)
+    g1 = m.gamma(1 - b) * m.rgamma(a - b + 1)
+    g2 = m.gamma(b - 1) * m.rgamma(a)
+    t1 = g1 * m1
+    t2 = g2 * m.exp((1 - b) * m.log(z)) * m2
+    u = t1 + t2
+    return u, _export_cancel(abs(t1) + abs(t2), abs(u), m.mpf(10) ** (-4 * m.dps))
+
+
+def _k_2f1_series(cap, a, b, c, z):
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
-        "2F1 series", ctx.cap)
-    return s, _export_cancel(peak, abs(s), ctx)
+        "2F1 series", cap)
+    return s, _export_cancel(peak, abs(s), TINY)
 
 
-def _k_2f1(ctx, a, b, c, z):
+def _k_2f1(cap, a, b, c, z):
     """2F1 for |z| < 1. In the band |z| > 0.5 the Euler transformation
     (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) is applied when the function is
     singular-growing at z = 1 (Re(c-a-b) < 0), which is where the raw series
     conditioning degrades."""
-    a, b, c, z = ctx.c(a), ctx.c(b), ctx.c(c), ctx.c(z)
-    if abs(z) > 0.5 and ctx.re(c - a - b) < 0:
-        v, cancel = _k_2f1_series(ctx, c - a, c - b, c, z)
-        return ctx.power(1 - z, c - a - b) * v, cancel
-    return _k_2f1_series(ctx, a, b, c, z)
+    if abs(z) > 0.5 and (c - a - b).real < 0:
+        v, cancel = _k_2f1_series(cap, c - a, c - b, c, z)
+        return principal_power(1 - z, c - a - b) * v, cancel
+    return _k_2f1_series(cap, a, b, c, z)
 
 
-def _k_0f1(ctx, b, z):
-    b, z = ctx.c(b), ctx.c(z)
-    if ctx.hp:
-        return ctx.hyp0f1(b, z), 1.0
+def _mp_2f1(m, a, b, c, z):
+    """The same on mpmath scalars, for |z| < 1."""
+    a, b, c, z = m.mpc(a), m.mpc(b), m.mpc(c), m.mpc(z)
+    if abs(z) > 0.5 and float((c - a - b).real) < 0:
+        v = m.hyp2f1(c - a, c - b, c, z, zeroprec=m.prec)
+        return m.exp((c - a - b) * m.log(1 - z)) * v, 1.0
+    return m.hyp2f1(a, b, c, z, zeroprec=m.prec), 1.0
+
+
+def _k_0f1(cap, b, z):
     s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)),
-                          "0F1 series", ctx.cap)
-    return s, _export_cancel(peak, abs(s), ctx)
+                          "0F1 series", cap)
+    return s, _export_cancel(peak, abs(s), TINY)
 
 
-def _k_erf(ctx, z):
+def _mp_0f1(m, b, z):
+    return m.hyp0f1(m.mpc(b), m.mpc(z), zeroprec=m.prec), 1.0
+
+
+def _k_erf(cap, z):
     """erf kernel: power series for |z| <= 3 and near the imaginary axis,
     continued fraction on erfc elsewhere; returns (value, cancel)."""
-    z = ctx.c(z)
-    if ctx.hp:
-        return ctx.erf(z), 1.0
     az = abs(z)
     if az <= 3.0 or abs(z.real) < az / 4:
         # erf(z) = 2/sqrt(pi) sum_n (-1)^n z^(2n+1) / (n! (2n+1))
         z2 = z * z
         s, peak = _sum_series(
             z, lambda t, n: t * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3)),
-            "erf series", ctx.cap)
-        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s), ctx)
+            "erf series", cap)
+        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s), TINY)
     # 1/(sqrt(pi) e^(w^2) erfc w) = w + (1/2)/(w + 1/(w + (3/2)/(w + ...))), Re w > 0
     w = z if z.real > 0 else -z
     f = _lentz(w, lambda n: complex(n) / 2, lambda n: w,
-               "erfc continued fraction", ctx.cap)
+               "erfc continued fraction", cap)
     erfc_w = cmath.exp(-w * w) / _SQRT_PI / f
     erf_w = 1 - erfc_w
-    cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w), ctx)
+    cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w), TINY)
     return (erf_w if z.real > 0 else -erf_w), cancel
 
 
-def _k_igam_upper(ctx, a, z):
+def _mp_erf(m, z):
+    return m.erf(m.mpc(z)), 1.0
+
+
+def _k_igam_upper(cap, a, z):
     """Upper incomplete gamma; complement series for small/left-plane z,
     continued fraction for large right-plane z; returns (value, cancel)."""
-    a, z = ctx.c(a), ctx.c(z)
-    if ctx.hp:
-        return ctx.gammainc(a, z), 1.0
     if z.real > 0 and abs(z) >= max(6.0, abs(a) + 2.0):
         # Legendre's continued fraction, Re(z) > 0 and |z| large:
         # Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))
         f = _lentz(z + 1 - a, lambda n: -n * (n - a),
                    lambda n: z + 2 * n + 1 - a,
-                   "incomplete-gamma continued fraction", ctx.cap)
+                   "incomplete-gamma continued fraction", cap)
         return cmath.exp(-z) * principal_power(z, a) / f, 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
     s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
-                          "incomplete-gamma series", ctx.cap)
+                          "incomplete-gamma series", cap)
     lower = principal_power(z, a) * cmath.exp(-z) * s
     g = gamma(a)
     v = g - lower
-    series_cancel = _export_cancel(peak, abs(s), ctx)
+    series_cancel = _export_cancel(peak, abs(s), TINY)
     peak_outer = abs(g) + abs(lower) * max(series_cancel, 1.0)
-    return v, _export_cancel(peak_outer, abs(v), ctx)
+    return v, _export_cancel(peak_outer, abs(v), TINY)
 
 
-def _k_inc_beta(ctx, x, a, b):
+def _mp_igam_upper(m, a, z):
+    return m.gammainc(m.mpc(a), m.mpc(z)), 1.0
+
+
+def _k_inc_beta(cap, x, a, b):
     """B_x(a,b) = x^a/a 2F1(a, 1-b; a+1; x); returns (value, cancel)."""
-    x, a, b = ctx.c(x), ctx.c(a), ctx.c(b)
-    f, cancel = _k_2f1(ctx, a, 1 - b, a + 1, x)
-    return ctx.power(x, a) / a * f, cancel
+    f, cancel = _k_2f1(cap, a, 1 - b, a + 1, x)
+    return principal_power(x, a) / a * f, cancel
+
+
+def _mp_inc_beta(m, x, a, b):
+    """The same on mpmath scalars; x != 0, since B_0 never reruns."""
+    x, a, b = m.mpc(x), m.mpc(a), m.mpc(b)
+    f, _ = _mp_2f1(m, a, 1 - b, a + 1, x)
+    return m.exp(a * m.log(x)) / a * f, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +509,9 @@ def hyp1f1(a, b, z) -> FnValue:
     a, b, z = as_complex(a), as_complex(b), as_complex(z)
     if near_nonpositive_integer(b):
         raise ParamError(f"1F1 undefined: b = {b!r} at a nonpositive integer")
-    double = _double_ctx(max_terms())
-    value = _guarded(_k_1f1, double, a, b, z)
-    deriv = (a / b) * _guarded(_k_1f1, double, a + 1, b + 1, z)
+    cap = max_terms()
+    value = _guarded(_k_1f1, _mp_1f1, cap, a, b, z)
+    deriv = (a / b) * _guarded(_k_1f1, _mp_1f1, cap, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -581,9 +527,9 @@ def kummer_u(a, b, z) -> FnValue:
         raise ParamError(f"U connection formula degenerate: b = {b!r} at an integer")
     if z == 0:
         raise DomainError("U undefined at z = 0")
-    double = _double_ctx(max_terms())
-    value = _guarded(_k_kummer_u, double, a, b, z)
-    deriv = -a * _guarded(_k_kummer_u, double, a + 1, b + 1, z)
+    cap = max_terms()
+    value = _guarded(_k_kummer_u, _mp_kummer_u, cap, a, b, z)
+    deriv = -a * _guarded(_k_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -599,9 +545,9 @@ def hyp2f1(a, b, c, z) -> FnValue:
         raise ParamError(f"2F1 undefined: c = {c!r} at a nonpositive integer")
     if abs(z) >= 1.0:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
-    double = _double_ctx(max_terms())
-    value = _guarded(_k_2f1, double, a, b, c, z)
-    deriv = (a * b / c) * _guarded(_k_2f1, double, a + 1, b + 1, c + 1, z)
+    cap = max_terms()
+    value = _guarded(_k_2f1, _mp_2f1, cap, a, b, c, z)
+    deriv = (a * b / c) * _guarded(_k_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z)
     return FnValue(value, deriv)
 
 
@@ -610,9 +556,9 @@ def hyp0f1(b, z) -> FnValue:
     b, z = as_complex(b), as_complex(z)
     if near_nonpositive_integer(b):
         raise ParamError(f"0F1 undefined: b = {b!r} at a nonpositive integer")
-    double = _double_ctx(max_terms())
-    value = _guarded(_k_0f1, double, b, z)
-    deriv = (1 / b) * _guarded(_k_0f1, double, b + 1, z)
+    cap = max_terms()
+    value = _guarded(_k_0f1, _mp_0f1, cap, b, z)
+    deriv = (1 / b) * _guarded(_k_0f1, _mp_0f1, cap, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -644,12 +590,12 @@ def erf_like(kind: str, z) -> FnValue:
     if abs(z) > ERF_MAX_ABS:
         raise ConvergenceError(
             f"erf/erfi guaranteed only for |z| <= {ERF_MAX_ABS:g}, got |z| = {abs(z):.6g}")
-    double = _double_ctx(max_terms())
+    cap = max_terms()
     if kind == "erf":
-        value = _guarded(_k_erf, double, z)
+        value = _guarded(_k_erf, _mp_erf, cap, z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(-z * z)
     else:
-        value = -1j * _guarded(_k_erf, double, 1j * z)
+        value = -1j * _guarded(_k_erf, _mp_erf, cap, 1j * z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(z * z)
     return FnValue(value, deriv)
 
@@ -676,7 +622,7 @@ def inc_gamma_upper(a, z) -> FnValue:
         if not (z.real > 0 and az >= max(6.0, abs(a) + 2.0)):
             raise ParamError(
                 f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
-    value = _guarded(_k_igam_upper, _double_ctx(max_terms()), a, z)
+    value = _guarded(_k_igam_upper, _mp_igam_upper, max_terms(), a, z)
     deriv = -principal_power(z, a - 1) * cmath.exp(-z)
     return FnValue(value, deriv)
 
@@ -696,6 +642,6 @@ def inc_beta(x, a, b) -> FnValue:
         raise BranchError(f"B_x undefined for real x >= 1, got x = {x.real:.6g}")
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
-    value = _guarded(_k_inc_beta, _double_ctx(max_terms()), x, a, b)
+    value = _guarded(_k_inc_beta, _mp_inc_beta, max_terms(), x, a, b)
     deriv = principal_power(x, a - 1) * principal_power(1 - x, b - 1)
     return FnValue(value, deriv)

@@ -86,6 +86,20 @@ def test_gamma_poles():
     assert_close(rgamma(0.5), 1 / 1.7724538509055160)
 
 
+def test_rgamma_near_nonpositive_integers():
+    # 1/gamma(z) ~ (-1)^n n! (z - n) next to z = -n: small, not zero
+    mp = mpmath.MPContext()
+    mp.dps = 40
+    for z in (4.23e-10, -3 + 2e-10, -7 - 5e-10 + 3e-10j):
+        assert_close(rgamma(z), complex(mp.rgamma(z)), 1e-13)
+    for z in (0.0, -1.0, -3 + 0j, -7.0):
+        assert rgamma(z) == 0
+    # U's second connection term carries rgamma(a)
+    for a, b, z in ((4.23e-10, 3.86, 3.52), (-2 + 3e-10, 0.4, 5.0)):
+        assert_close(kummer_u(a, b, z).value, complex(mp.hyperu(a, b, z)),
+                     U_ORACLE_REL_TOL)
+
+
 def test_gamma_overflow_is_typed():
     for z in (172.0, -170.3 + 0.5j):
         with pytest.raises(NonFiniteError):
@@ -647,17 +661,36 @@ RERUN_CASES = [
 @pytest.mark.parametrize("fn, kernel, args, oracle, tol", RERUN_CASES,
                          ids=[f"{c[0].__name__}{c[2]}" for c in RERUN_CASES])
 def test_rerun_matches_oracle(fn, kernel, args, oracle, tol):
-    _, cancel = kernel(specialfns._DOUBLE, *args)
+    _, cancel = kernel(specialfns.MAX_TERMS_DEFAULT, *args)
     assert cancel > CANCEL_LIMIT  # the double path hands over to mpmath
     assert_close(fn(*args).value, complex(oracle(*args)), tol)
 
 
 def test_rerun_kummer_u_derivative_matches_oracle():
     a, b, z = 0.7, 0.3, 8.0
-    _, cancel = specialfns._k_kummer_u(specialfns._DOUBLE, a + 1, b + 1, z)
+    _, cancel = specialfns._k_kummer_u(specialfns.MAX_TERMS_DEFAULT, a + 1, b + 1, z)
     assert cancel > CANCEL_LIMIT
     assert_close(kummer_u(a, b, z).derivative,
                  complex(-a * _MP40.hyperu(a + 1, b + 1, z)), U_ORACLE_REL_TOL)
+
+
+def test_rerun_escalates_precision(monkeypatch):
+    # the first pass at each precision is not enough: both reruns double it
+    asked = []
+    mp_ctx = specialfns._mp_ctx
+
+    def spy(dps):
+        asked.append(dps)
+        return mp_ctx(dps)
+    monkeypatch.setattr(specialfns, "_mp_ctx", spy)
+    a = 3.8250058940562157 + 1.7450173638148656j
+    b = -2.412477720916686 - 0.0820583540728057j
+    z = 32.81391793872474 + 9.36216503301399j
+    fv = kummer_u(a, b, z)
+    assert asked == [46, 92, 47, 94]
+    assert_close(fv.value, complex(_MP40.hyperu(a, b, z)), U_ORACLE_REL_TOL)
+    assert_close(fv.derivative, complex(-a * _MP40.hyperu(a + 1, b + 1, z)),
+                 U_ORACLE_REL_TOL)
 
 
 def test_rerun_leaves_global_mpmath_precision_alone_under_threads():
@@ -675,7 +708,7 @@ def test_rerun_leaves_global_mpmath_precision_alone_under_threads():
 
 
 def test_rerun_no_convergence_is_typed(monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("refused")
     ctx = specialfns._mp_ctx(30)  # this thread's rerun context
     monkeypatch.setattr(ctx, "hyp1f1", refuse)

@@ -22,7 +22,14 @@ float as `float.hex`, so signed zeros and last-bit changes show:
   error each point raised), and the sha256 of the rendered CSV;
 * `cli`: the sha256 of stdout and stderr and the exit code of CLI
   `eval`/`solve`/`convert`/`detect`/`verify` for the first 2 draws
-  of every verify stream of seed 1, and of `paper-suite`.
+  of every verify stream of seed 1, and of `paper-suite`;
+* `specialfns`: 3000 seeded calls of each public special function
+  (`hyp1f1`, `kummer_u`, `hyp2f1`, `hyp0f1`, Whittaker M and W, erf,
+  erfi, `inc_gamma_upper`, `inc_beta`), drawn over regions where the
+  double path hands over to the mpmath rerun and the rerun raises its
+  precision: large |z| for U and W, 0.5 < |z| < 0.97 for 2F1, Re z < 0
+  for 1F1 and the incomplete gamma. Each line holds the value and the
+  derivative, or the error the call raised.
 
 Draws, grids, points and windows come from `perfbench/` (imported, never
 written: no bytecode is cached). Two trees give identical outputs when
@@ -31,10 +38,12 @@ written: no bytecode is cached). Two trees give identical outputs when
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -49,6 +58,7 @@ VERIFY_DRAWS = 15
 CLI_DRAWS = 2
 WINDOW_SAMPLES = 20
 CLI_GRID_POINTS = 50
+SPECIAL_CALLS = 3000
 
 
 def _hex(z) -> str:
@@ -196,6 +206,51 @@ class Dumper:
                     self.cli_call(tag, tmp, ["convert"], normal)
             self.cli_call("cli:suite", tmp, ["paper-suite"])
 
+    def specialfns(self) -> None:
+        sf = self.H.specialfns
+        rng = random.Random("specialfns")
+
+        def c(lo, hi, im=0.0):
+            """Uniform real part in [lo, hi]; half the draws also get an
+            imaginary part uniform in [-im, im]."""
+            x = rng.uniform(lo, hi)
+            return complex(x, rng.uniform(-im, im)) if rng.random() < 0.5 else x
+
+        def disk(lo, hi):
+            """Modulus uniform in [lo, hi], argument uniform in [-pi, pi]."""
+            return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+        calls = (
+            ("hyp1f1", sf.hyp1f1,
+             lambda: (c(-6, 6, 3), c(-4, 6, 2), disk(0.1, 50))),
+            ("kummer_u", sf.kummer_u,
+             lambda: (c(-4, 4, 2), c(-3, 3, 1), disk(2, 40))),
+            ("hyp2f1", sf.hyp2f1,
+             lambda: (c(-10, 10, 3), c(-10, 10, 3), c(-10, 10, 3),
+                     disk(0.5, 0.97))),
+            ("hyp0f1", sf.hyp0f1, lambda: (c(-5, 5, 2), disk(0.1, 60))),
+            ("whittaker_M", lambda *a: sf.whittaker("M", *a),
+             lambda: (c(-3, 3, 1), c(-2, 2, 1), disk(0.1, 40))),
+            ("whittaker_W", lambda *a: sf.whittaker("W", *a),
+             lambda: (c(-3, 3, 1), c(-2, 2, 1), disk(2, 40))),
+            ("erf", lambda z: sf.erf_like("erf", z), lambda: (disk(0, 12),)),
+            ("erfi", lambda z: sf.erf_like("erfi", z), lambda: (disk(0, 12),)),
+            ("inc_gamma_upper", sf.inc_gamma_upper,
+             lambda: (c(-4, 4, 2), c(-16, 20, 6))),
+            ("inc_beta", sf.inc_beta,
+             lambda: (disk(0.05, 0.97), c(-10, 10, 3), c(-10, 10, 3))),
+        )
+        for name, fn, draw in calls:
+            for i in range(SPECIAL_CALLS):
+                args = draw()
+                try:
+                    fv = fn(*args)
+                    got = f"{_hex(fv.value)} {_hex(fv.derivative)}"
+                except self.H.errors.HeunAirError as exc:
+                    got = _error(exc)
+                self.line(f"specialfns:{name}:{i}", *(_hex(a) for a in args),
+                          got)
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -214,6 +269,7 @@ def main(argv=None) -> int:
         dumper.tabulate(seed)
         dumper.verify(seed)
     dumper.cli()
+    dumper.specialfns()
     return 0
 
 
