@@ -17,13 +17,39 @@ three consecutive times (non-strict, so an exactly zero sum stops) or
 |delta - 1| < 1e-16, within the term cap: MAX_TERMS_DEFAULT, or the
 HEUN_AIR_MAX_TERMS environment variable, read once per public call. Each
 kernel also returns a cancellation estimate -- the peak magnitude reached by
-partial sums/terms divided by the final magnitude. _guarded runs the kernel,
-and when the estimate exceeds CANCEL_LIMIT (so double precision could not
-deliver ~1e-13 relative accuracy) it runs the rerun at a working precision
-chosen from the estimate, on this thread's private mpmath context m. A
-rerun calls mpmath's own 0F1/1F1/2F1, erf and incomplete gamma, which raise
-their own precision; a sum cancelling below the working precision, such as
-a terminating series whose value is exactly 0, is 0. Only the outer
+partial sums/terms divided by the final magnitude, so that the relative
+error is about SERIES_EPS times the estimate.
+
+_guarded tries up to three routes, in this order, and returns the first
+value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
+
+1. the kernel _k_*;
+2. for U, 2F1, B_x and Gamma(a, z) only, a second double-precision route
+   _k2_*(cap, ...), which returns (value, estimate) with the estimate in
+   the same units, or _DECLINE where it does not apply:
+   - U for Re z > 0: the Laplace integral at Re a >= 1 by a
+     double-exponential trapezoid rule, whose estimate includes the square
+     of its step-halving difference, then the a-recurrence down to a in
+     its stable direction;
+   - 2F1 for |1 - z| <= CONNECT_MAX: the 1 - z connection formula, which
+     declines within INT_TOL of an integer c - a - b; B_x goes through it;
+   - Gamma(a, z): Legendre's continued fraction for Re z > 0, and
+     Gamma(a) - z^a/a 1F1(a; a+1; -z) otherwise;
+   the estimates of the two routes that multiply gamma factors count the
+   rounding of the reflection near the integers (_gamma_ulps);
+3. the mpmath rerun, run exactly as if there were no second route, at a
+   working precision chosen from the kernel's estimate, on this thread's
+   private mpmath context m.
+
+So a call that the kernel answers is unchanged by the second routes, and
+only a value that the kernel would have handed to the rerun can come from
+a second route instead: it then differs from the rerun's value in the last
+digits, by at most ~1e-13 relative (tests/test_accuracy.py). A second
+route that raises a typed error or overflows declines.
+
+A rerun calls mpmath's own 0F1/1F1/2F1, erf and incomplete gamma, which
+raise their own precision; a sum cancelling below the working precision,
+such as a terminating series whose value is exactly 0, is 0. Only the outer
 combinations are written out on mpmath scalars: the U connection formula,
 the Kummer and Euler transformations and the B_x prefactor. U's rerun alone
 estimates a cancellation, that of its connection formula; every other rerun
@@ -58,7 +84,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import NoConvergence
 
-from .errors import (BranchError, ConvergenceError, DomainError,
+from .errors import (BranchError, ConvergenceError, DomainError, HeunAirError,
                      NonFiniteError, ParamError, PoleError)
 from .numkernel import as_complex
 
@@ -89,6 +115,12 @@ ERF_MAX_ABS = 12.0
 #: Entries kept by the double path's memos: 1F1 sums and U's gamma factors.
 _MEMO_1F1 = 256
 _MEMO_U_FACTORS = 16
+
+#: A second route's (value, estimate) when it does not apply.
+_DECLINE = (complex("nan"), math.inf)
+
+#: The 2F1 connection route runs for |1 - z| up to this.
+CONNECT_MAX = 0.9
 
 
 def max_terms() -> int:
@@ -172,7 +204,10 @@ def gamma(z) -> complex:
     Re(z) < 0.5). Relative error at most 5e-13 on Re z in [-30, 60],
     |Im z| <= 220 (against mpmath at 40 digits, the worst of 3000 seeded
     points is 3.8e-13 to 4.6e-13, by seed), and ~1e-12 in log form where
-    sin(pi z) overflows (|Im z| >~ 225)."""
+    sin(pi z) overflows (|Im z| >~ 225). In the reflection, Gamma(1 - z) is
+    taken in log form where the Lanczos intermediate overflows although
+    Gamma(1 - z) does not (Re z <~ -140); where Gamma(1 - z) overflows
+    too, |Gamma(z)| is below the normal doubles and is refused."""
     z = as_complex(z)
     if near_nonpositive_integer(z):
         # sin(pi z) in the reflection below is never exactly zero in floating
@@ -180,7 +215,15 @@ def gamma(z) -> complex:
         raise PoleError(f"gamma pole at {z!r}")
     try:
         if z.real < 0.5:
-            return cmath.pi / (cmath.sin(cmath.pi * z) * gamma(1.0 - z))
+            try:
+                inner = gamma(1.0 - z)
+            except NonFiniteError:  # the Lanczos t^(zz+1/2) overflowed
+                try:
+                    inner = cmath.exp(_log_gamma(1.0 - z))
+                except OverflowError:  # so did gamma(1 - z): gamma(z) is tiny
+                    raise NonFiniteError(
+                        f"gamma({z!r}) underflows double precision") from None
+            return cmath.pi / (cmath.sin(cmath.pi * z) * inner)
         zz = z - 1.0
         t, acc = _lanczos(zz)
         return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
@@ -257,13 +300,23 @@ def _export_cancel(peak, mag_final, tiny) -> float:
     return min(f, 1e300)
 
 
-def _guarded(kernel, rerun, cap, *args) -> complex:
-    """Run a double-precision kernel under the term cap `cap`; run its mpmath
-    rerun when the cancellation estimate says double precision was
-    insufficient."""
+def _guarded(kernel, second, rerun, cap, *args) -> complex:
+    """Run a double-precision kernel under the term cap `cap`. When its
+    cancellation estimate says double precision was insufficient, try the
+    second double-precision route `second` (None for none), and when that
+    declines or its own estimate exceeds CANCEL_LIMIT too, run the mpmath
+    rerun exactly as it would have run without the second route."""
     value, cancel = kernel(cap, *args)
     if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
+    if second is not None:
+        try:
+            v2, est = second(cap, *args)
+        except (HeunAirError, ArithmeticError):
+            pass  # a typed refusal or an overflow inside the route: decline
+        else:
+            if cmath.isfinite(v2) and est <= CANCEL_LIMIT:
+                return v2
     dps = min(180, 26 + int(math.log10(max(cancel, 1.0))) + 6)
     for _ in range(3):
         m = _mp_ctx(dps)
@@ -396,6 +449,100 @@ def _mp_kummer_u(m, a, b, z):
     return u, _export_cancel(abs(t1) + abs(t2), abs(u), m.mpf(10) ** (-4 * m.dps))
 
 
+def _gamma_ulps(*xs) -> float:
+    """The rounding of a product of gamma or reciprocal-gamma factors at xs,
+    in units of SERIES_EPS relative: one for each Lanczos sum, and where
+    Re x < 0.5 another |x| / d(x), d(x) the distance from x to the nearest
+    integer, since the reflection evaluates sin(pi x) at the rounded
+    argument pi x. (At an integer, rgamma is exactly 0.)"""
+    ulps = 0.0
+    for x in xs:
+        ulps += 1.0
+        d = abs(x - round(x.real))
+        if x.real < 0.5 and d:
+            ulps += abs(x) / d
+    return ulps
+
+
+def _laplace_nodes(ks):
+    """(even, log s, s, weight) of the trapezoid rule with step _LAPLACE_H
+    after s = exp(x - e^-x), x = k h, for k in ks: a double-exponential
+    rule for integrands that decay like e^-s (Ooura and Mori, J. Comput.
+    Appl. Math. 38, 1991)."""
+    nodes = []
+    for k in ks:
+        x = k * _LAPLACE_H
+        e = math.exp(-x)
+        log_s = x - e
+        s = math.exp(log_s)
+        nodes.append((k % 2 == 0, log_s, s, _LAPLACE_H * (1 + e) * s))
+    return tuple(nodes)
+
+
+_LAPLACE_H = 1 / 8
+#: Summed outward from x = 0: up to x = 6 (s = 403) and down to x = -5
+#: (s = e^-153).
+_LAPLACE_RIGHT = _laplace_nodes(range(0, 49))
+_LAPLACE_LEFT = _laplace_nodes(range(-1, -41, -1))
+
+
+def _k2_kummer_u(cap, a, b, z):
+    """U for Re z > 0 by the Laplace integral (DLMF 13.4.4) with s = z t,
+    U(a, b, z) = z^-a / Gamma(a) int_0^inf e^-s s^(a-1) (1 + s/z)^(b-a-1) ds,
+    at a + n, the first order with Re >= 1, and (when n > 0) at a + n + 1,
+    on one set of nodes; then n steps of the a-recurrence DLMF 13.3.7,
+    U(a-1) = -(b - 2a - z) U(a) - a (a - b + 1) U(a+1), in the decreasing
+    direction, in which U is the minimal solution. Returns (value,
+    estimate), the estimate being the relative error over SERIES_EPS:
+    the square of the halving difference (the rule on the even nodes alone
+    has step 2h, and a double-exponential rule's error falls as
+    exp(-c/h), so the error at h is about the square of that at 2h), plus
+    the rounding of the sums and the recurrence, SERIES_EPS times the sums'
+    peak-to-value ratio times the recurrence's (|t1| + |t2|) / |U| at each
+    step."""
+    if z.real <= 0:
+        return _DECLINE
+    n = max(0, math.ceil(1 - a.real))
+    a0 = a + n
+    p = b - a0 - 1
+    zi = 1 / z
+    j0 = j1 = e0 = e1 = 0j
+    m0 = m1 = 0.0
+    cexp, clog = cmath.exp, cmath.log
+    for nodes in (_LAPLACE_RIGHT, _LAPLACE_LEFT):
+        below = 0
+        for even, log_s, s, w in nodes:
+            ws = 1 + s * zi
+            f = w * cexp((a0 - 1) * log_s + p * clog(ws) - s)
+            g = f * s / ws  # the integrand of a0 + 1
+            j0 += f
+            j1 += g
+            m0 += abs(f)
+            m1 += abs(g)
+            if even:
+                e0 += f
+                e1 += g
+            if abs(f) <= SERIES_EPS * abs(j0) and abs(g) <= SERIES_EPS * abs(j1):
+                below += 1
+                if below >= CONSECUTIVE_BELOW:
+                    break
+            else:
+                below = 0
+        else:
+            return _DECLINE  # the integrand did not decay across the nodes
+    halving = max(abs(j0 - 2 * e0) / abs(j0), abs(j1 - 2 * e1) / abs(j1))
+    rounding = max(m0 / abs(j0), m1 / abs(j1))
+    scale = rgamma(a0) * principal_power(z, -a0)
+    u, u_next = scale * j0, scale * j1 / (a0 * z)
+    for k in range(n):
+        ak = a0 - k
+        t1 = -(b - 2 * ak - z) * u
+        t2 = -ak * (ak - b + 1) * u_next
+        u, u_next = t1 + t2, u
+        rounding *= (abs(t1) + abs(t2)) / abs(u)
+    return u, halving * halving / SERIES_EPS + rounding
+
+
 def _k_2f1_series(cap, a, b, c, z):
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
@@ -421,6 +568,28 @@ def _mp_2f1(m, a, b, c, z):
         v = m.hyp2f1(c - a, c - b, c, z, zeroprec=m.prec)
         return m.exp((c - a - b) * m.log(1 - z)) * v, 1.0
     return m.hyp2f1(a, b, c, z, zeroprec=m.prec), 1.0
+
+
+def _k2_2f1(cap, a, b, c, z):
+    """2F1 by the 1 - z connection formula (DLMF 15.8.4, 15.10.21), for
+    |1 - z| <= CONNECT_MAX: with s = c - a - b,
+    Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) 2F1(a, b; 1-s; 1-z)
+    + (1-z)^s Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)) 2F1(c-a, c-b; 1+s; 1-z).
+    Declines within INT_TOL of an integer s, where the gamma factors have
+    poles; near one, the two terms cancel and the estimate says so."""
+    w = 1 - z
+    s = c - a - b
+    if abs(w) > CONNECT_MAX or near_integer(s):
+        return _DECLINE
+    f1, c1 = _k_2f1(cap, a, b, 1 - s, w)
+    f2, c2 = _k_2f1(cap, c - a, c - b, 1 + s, w)
+    g = gamma(c)
+    t1 = g * gamma(s) * rgamma(c - a) * rgamma(c - b) * f1
+    t2 = principal_power(w, s) * g * gamma(-s) * rgamma(a) * rgamma(b) * f2
+    v = t1 + t2
+    peak = (abs(t1) * (max(c1, 1.0) + _gamma_ulps(c, s, c - a, c - b))
+            + abs(t2) * (max(c2, 1.0) + _gamma_ulps(c, -s, a, b)))
+    return v, _export_cancel(peak, abs(v), TINY)
 
 
 def _k_0f1(cap, b, z):
@@ -458,16 +627,20 @@ def _mp_erf(m, z):
     return m.erf(m.mpc(z)), 1.0
 
 
+def _legendre_igam(cap, a, z):
+    """Legendre's continued fraction, for Re(z) > 0:
+    Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))"""
+    f = _lentz(z + 1 - a, lambda n: -n * (n - a),
+               lambda n: z + 2 * n + 1 - a,
+               "incomplete-gamma continued fraction", cap)
+    return cmath.exp(-z) * principal_power(z, a) / f
+
+
 def _k_igam_upper(cap, a, z):
     """Upper incomplete gamma; complement series for small/left-plane z,
     continued fraction for large right-plane z; returns (value, cancel)."""
     if z.real > 0 and abs(z) >= max(6.0, abs(a) + 2.0):
-        # Legendre's continued fraction, Re(z) > 0 and |z| large:
-        # Gamma(a,z) = e^(-z) z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...)))
-        f = _lentz(z + 1 - a, lambda n: -n * (n - a),
-                   lambda n: z + 2 * n + 1 - a,
-                   "incomplete-gamma continued fraction", cap)
-        return cmath.exp(-z) * principal_power(z, a) / f, 1.0
+        return _legendre_igam(cap, a, z), 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
     s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
                           "incomplete-gamma series", cap)
@@ -483,10 +656,32 @@ def _mp_igam_upper(m, a, z):
     return m.gammainc(m.mpc(a), m.mpc(z)), 1.0
 
 
+def _k2_igam_upper(cap, a, z):
+    """Upper incomplete gamma where the series route cancels: for Re z > 0
+    Legendre's continued fraction of _k_igam_upper at any |z|, which
+    converges there; otherwise Gamma(a) - gamma(a, z) with
+    gamma(a, z) = z^a/a 1F1(a; a+1; -z) (DLMF 8.5.1), whose series in -z
+    does not alternate the way the complement series does for Re z < 0."""
+    if z.real > 0:
+        return _legendre_igam(cap, a, z), 1.0
+    m, cancel = _k_1f1_series(cap, a, a + 1, -z)
+    lower = principal_power(z, a) / a * m
+    g = gamma(a)
+    v = g - lower
+    peak = abs(g) * _gamma_ulps(a) + abs(lower) * max(cancel, 1.0)
+    return v, _export_cancel(peak, abs(v), TINY)
+
+
 def _k_inc_beta(cap, x, a, b):
     """B_x(a,b) = x^a/a 2F1(a, 1-b; a+1; x); returns (value, cancel)."""
     f, cancel = _k_2f1(cap, a, 1 - b, a + 1, x)
     return principal_power(x, a) / a * f, cancel
+
+
+def _k2_inc_beta(cap, x, a, b):
+    """The same through the 2F1 connection route."""
+    f, est = _k2_2f1(cap, a, 1 - b, a + 1, x)
+    return principal_power(x, a) / a * f, est
 
 
 def _mp_inc_beta(m, x, a, b):
@@ -510,8 +705,8 @@ def hyp1f1(a, b, z) -> FnValue:
     if near_nonpositive_integer(b):
         raise ParamError(f"1F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
-    value = _guarded(_k_1f1, _mp_1f1, cap, a, b, z)
-    deriv = (a / b) * _guarded(_k_1f1, _mp_1f1, cap, a + 1, b + 1, z)
+    value = _guarded(_k_1f1, None, _mp_1f1, cap, a, b, z)
+    deriv = (a / b) * _guarded(_k_1f1, None, _mp_1f1, cap, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -528,8 +723,8 @@ def kummer_u(a, b, z) -> FnValue:
     if z == 0:
         raise DomainError("U undefined at z = 0")
     cap = max_terms()
-    value = _guarded(_k_kummer_u, _mp_kummer_u, cap, a, b, z)
-    deriv = -a * _guarded(_k_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z)
+    value = _guarded(_k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a, b, z)
+    deriv = -a * _guarded(_k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -546,8 +741,8 @@ def hyp2f1(a, b, c, z) -> FnValue:
     if abs(z) >= 1.0:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
     cap = max_terms()
-    value = _guarded(_k_2f1, _mp_2f1, cap, a, b, c, z)
-    deriv = (a * b / c) * _guarded(_k_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z)
+    value = _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a, b, c, z)
+    deriv = (a * b / c) * _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z)
     return FnValue(value, deriv)
 
 
@@ -557,8 +752,8 @@ def hyp0f1(b, z) -> FnValue:
     if near_nonpositive_integer(b):
         raise ParamError(f"0F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
-    value = _guarded(_k_0f1, _mp_0f1, cap, b, z)
-    deriv = (1 / b) * _guarded(_k_0f1, _mp_0f1, cap, b + 1, z)
+    value = _guarded(_k_0f1, None, _mp_0f1, cap, b, z)
+    deriv = (1 / b) * _guarded(_k_0f1, None, _mp_0f1, cap, b + 1, z)
     return FnValue(value, deriv)
 
 
@@ -592,10 +787,10 @@ def erf_like(kind: str, z) -> FnValue:
             f"erf/erfi guaranteed only for |z| <= {ERF_MAX_ABS:g}, got |z| = {abs(z):.6g}")
     cap = max_terms()
     if kind == "erf":
-        value = _guarded(_k_erf, _mp_erf, cap, z)
+        value = _guarded(_k_erf, None, _mp_erf, cap, z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(-z * z)
     else:
-        value = -1j * _guarded(_k_erf, _mp_erf, cap, 1j * z)
+        value = -1j * _guarded(_k_erf, None, _mp_erf, cap, 1j * z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(z * z)
     return FnValue(value, deriv)
 
@@ -622,7 +817,7 @@ def inc_gamma_upper(a, z) -> FnValue:
         if not (z.real > 0 and az >= max(6.0, abs(a) + 2.0)):
             raise ParamError(
                 f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
-    value = _guarded(_k_igam_upper, _mp_igam_upper, max_terms(), a, z)
+    value = _guarded(_k_igam_upper, _k2_igam_upper, _mp_igam_upper, max_terms(), a, z)
     deriv = -principal_power(z, a - 1) * cmath.exp(-z)
     return FnValue(value, deriv)
 
@@ -642,6 +837,6 @@ def inc_beta(x, a, b) -> FnValue:
         raise BranchError(f"B_x undefined for real x >= 1, got x = {x.real:.6g}")
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
-    value = _guarded(_k_inc_beta, _mp_inc_beta, max_terms(), x, a, b)
+    value = _guarded(_k_inc_beta, _k2_inc_beta, _mp_inc_beta, max_terms(), x, a, b)
     deriv = principal_power(x, a - 1) * principal_power(1 - x, b - 1)
     return FnValue(value, deriv)

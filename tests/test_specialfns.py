@@ -101,9 +101,22 @@ def test_rgamma_near_nonpositive_integers():
 
 
 def test_gamma_overflow_is_typed():
-    for z in (172.0, -170.3 + 0.5j):
+    # gamma exceeds the largest double here
+    for z in (172.0, 171.7, 180.0 + 5.0j):
         with pytest.raises(NonFiniteError):
             gamma(z)
+
+
+def test_gamma_reflection_with_large_inner_gamma():
+    # gamma(171.3 - 0.5j) ~ 3.4e307 is in range, but its Lanczos
+    # intermediate t^(z-1/2) is not: the reflection takes it in log form
+    z = -170.3 + 0.5j
+    want = complex(_MP40.gamma(z))  # about 3.8e-308, a normal double
+    got = gamma(z)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # below the normal doubles, gamma(1 - z) overflows as well: refused
+    with pytest.raises(NonFiniteError):
+        gamma(-171.3 + 0.5j)
 
 
 def test_gamma_at_large_imaginary_part():
@@ -658,24 +671,21 @@ RERUN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("fn, kernel, args, oracle, tol", RERUN_CASES,
-                         ids=[f"{c[0].__name__}{c[2]}" for c in RERUN_CASES])
-def test_rerun_matches_oracle(fn, kernel, args, oracle, tol):
-    _, cancel = kernel(specialfns.MAX_TERMS_DEFAULT, *args)
-    assert cancel > CANCEL_LIMIT  # the double path hands over to mpmath
-    assert_close(fn(*args).value, complex(oracle(*args)), tol)
+#: The second double-precision routes, tried before the mpmath rerun.
+SECOND_ROUTES = ("_k2_kummer_u", "_k2_2f1", "_k2_igam_upper", "_k2_inc_beta")
 
 
-def test_rerun_kummer_u_derivative_matches_oracle():
-    a, b, z = 0.7, 0.3, 8.0
-    _, cancel = specialfns._k_kummer_u(specialfns.MAX_TERMS_DEFAULT, a + 1, b + 1, z)
-    assert cancel > CANCEL_LIMIT
-    assert_close(kummer_u(a, b, z).derivative,
-                 complex(-a * _MP40.hyperu(a + 1, b + 1, z)), U_ORACLE_REL_TOL)
+@pytest.fixture
+def no_second_routes(monkeypatch):
+    """Every second route declines, so that a cancelling kernel reruns."""
+    for name in SECOND_ROUTES:
+        monkeypatch.setattr(specialfns, name,
+                            lambda cap, *args: specialfns._DECLINE)
 
 
-def test_rerun_escalates_precision(monkeypatch):
-    # the first pass at each precision is not enough: both reruns double it
+@pytest.fixture
+def reruns(monkeypatch):
+    """The working precision of every rerun pass, in order."""
     asked = []
     mp_ctx = specialfns._mp_ctx
 
@@ -683,17 +693,84 @@ def test_rerun_escalates_precision(monkeypatch):
         asked.append(dps)
         return mp_ctx(dps)
     monkeypatch.setattr(specialfns, "_mp_ctx", spy)
+    return asked
+
+
+@pytest.mark.parametrize("fn, kernel, args, oracle, tol", RERUN_CASES,
+                         ids=[f"{c[0].__name__}{c[2]}" for c in RERUN_CASES])
+def test_rerun_matches_oracle(fn, kernel, args, oracle, tol, no_second_routes):
+    _, cancel = kernel(specialfns.MAX_TERMS_DEFAULT, *args)
+    assert cancel > CANCEL_LIMIT  # the double path hands over to mpmath
+    assert_close(fn(*args).value, complex(oracle(*args)), tol)
+
+
+#: Former rerun inputs that a second double-precision route now answers,
+#: one or two per route, as (function, arguments, mpmath oracle).
+SECOND_ROUTE_CASES = [
+    (kummer_u, (0.7, 0.3, 8.0), _MP40.hyperu),  # Laplace integral, n = 0
+    (kummer_u, (-0.8614347027029241, 0.5, 4.0), _MP40.hyperu),  # n = 2
+    (kummer_u, (3.8250058940562157 + 1.7450173638148656j,
+                -2.412477720916686 - 0.0820583540728057j,
+                32.81391793872474 + 9.36216503301399j), _MP40.hyperu),
+    (hyp2f1, (-3.2, 1.1, -6.2, 0.75), _MP40.hyp2f1),  # 1 - z connection
+    (inc_gamma_upper, (0.3, -10.0), _MP40.gammainc),  # 1F1(a; a+1; -z)
+    (inc_gamma_upper, (-8.454538473009723, 5.262642006812971),
+     _MP40.gammainc),  # Legendre's continued fraction at |z| < 6
+    (inc_beta, (0.8, -7.829358748438622, 4.945809225423889),
+     lambda x, a, b: _MP40.betainc(a, b, 0, x)),  # through 2F1
+]
+
+
+@pytest.mark.parametrize("fn, args, oracle", SECOND_ROUTE_CASES,
+                         ids=[f"{c[0].__name__}{c[1]}" for c in SECOND_ROUTE_CASES])
+def test_second_route_answers_former_reruns(fn, args, oracle, reruns):
+    fv = fn(*args)
+    assert reruns == []
+    tol = U_ORACLE_REL_TOL if fn is kummer_u else ORACLE_REL_TOL
+    assert_close(fv.value, complex(oracle(*args)), tol)
+
+
+def test_declining_second_route_ends_in_the_rerun(reruns):
+    # the Laplace rule's halving estimate is too large here, and the 2F1
+    # connection formula has no value at c - a - b = b = 5
+    a, b, z = (1.6816698478752297 + 2.7724866352083546j,
+               1 + 5.544973270416709j, 10.831244978761237)
+    cap = specialfns.MAX_TERMS_DEFAULT
+    assert specialfns._k_kummer_u(cap, a, b, z)[1] > CANCEL_LIMIT
+    assert specialfns._k2_kummer_u(cap, a, b, z)[1] > CANCEL_LIMIT
+    assert_close(kummer_u(a, b, z).value, complex(_MP40.hyperu(a, b, z)),
+                 U_ORACLE_REL_TOL)
+    assert reruns
+    reruns.clear()
+    assert specialfns._k2_inc_beta(cap, 0.8 + 0j, -8.5 + 0j, 5.0 + 0j)[1] \
+        == math.inf
+    assert_close(inc_beta(0.8, -8.5, 5.0).value,
+                 complex(_MP40.betainc(-8.5, 5.0, 0, 0.8)))
+    assert reruns
+
+
+def test_rerun_kummer_u_derivative_matches_oracle(no_second_routes):
+    a, b, z = 0.7, 0.3, 8.0
+    _, cancel = specialfns._k_kummer_u(specialfns.MAX_TERMS_DEFAULT, a + 1, b + 1, z)
+    assert cancel > CANCEL_LIMIT
+    assert_close(kummer_u(a, b, z).derivative,
+                 complex(-a * _MP40.hyperu(a + 1, b + 1, z)), U_ORACLE_REL_TOL)
+
+
+def test_rerun_escalates_precision(no_second_routes, reruns):
+    # the first pass at each precision is not enough: both reruns double it
     a = 3.8250058940562157 + 1.7450173638148656j
     b = -2.412477720916686 - 0.0820583540728057j
     z = 32.81391793872474 + 9.36216503301399j
     fv = kummer_u(a, b, z)
-    assert asked == [46, 92, 47, 94]
+    assert reruns == [46, 92, 47, 94]
     assert_close(fv.value, complex(_MP40.hyperu(a, b, z)), U_ORACLE_REL_TOL)
     assert_close(fv.derivative, complex(-a * _MP40.hyperu(a + 1, b + 1, z)),
                  U_ORACLE_REL_TOL)
 
 
-def test_rerun_leaves_global_mpmath_precision_alone_under_threads():
+def test_rerun_leaves_global_mpmath_precision_alone_under_threads(
+        no_second_routes):
     calls = [(fn, args) for fn, _, args, _, _ in RERUN_CASES] * 4
     want = [fn(*args).value for fn, args in calls]
     interval = sys.getswitchinterval()
@@ -707,7 +784,7 @@ def test_rerun_leaves_global_mpmath_precision_alone_under_threads():
     assert got == want
 
 
-def test_rerun_no_convergence_is_typed(monkeypatch):
+def test_rerun_no_convergence_is_typed(monkeypatch, no_second_routes):
     def refuse(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("refused")
     ctx = specialfns._mp_ctx(30)  # this thread's rerun context

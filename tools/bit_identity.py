@@ -31,9 +31,20 @@ float as `float.hex`, so signed zeros and last-bit changes show:
   for 1F1 and the incomplete gamma. Each line holds the value and the
   derivative, or the error the call raised.
 
+Every line ends with `passes=N`: the mpmath rerun passes (calls of
+`specialfns._mp_ctx`) made while its output was computed. A `verify_basis`
+report's rows and aggregates all carry the passes of the whole report.
+
 Draws, grids, points and windows come from `perfbench/` (imported, never
 written: no bytecode is cached). Two trees give identical outputs when
-`diff` of their dumps is empty.
+`diff` of their dumps is empty. A change that may move only values the
+parent computed by an mpmath rerun is checked with
+
+    python3 tools/bit_identity.py --compare parent.dump change.dump
+
+which counts the lines that differ (beside `passes=`) and fails when one
+of them is a line for which the parent made no rerun pass, or when the
+dumps do not have the same lines.
 """
 from __future__ import annotations
 
@@ -77,9 +88,24 @@ def _error(exc: Exception) -> str:
 class Dumper:
     def __init__(self, H, bench, out):
         self.H, self.bench, self.out = H, bench, out
+        self.passes = 0  # rerun passes since the last line
+        mp_ctx = H.specialfns._mp_ctx
 
-    def line(self, *parts) -> None:
-        self.out.write(" ".join(str(p) for p in parts) + "\n")
+        def counting(dps):
+            self.passes += 1
+            return mp_ctx(dps)
+        H.specialfns._mp_ctx = counting
+
+    def take(self) -> int:
+        """The rerun passes since the last call."""
+        n, self.passes = self.passes, 0
+        return n
+
+    def line(self, *parts, passes=None) -> None:
+        """One output line, with the rerun passes made since the last line
+        (or `passes`)."""
+        n = self.take() if passes is None else passes
+        self.out.write(" ".join(str(p) for p in parts) + f" passes={n}\n")
 
     def family(self, d):
         return getattr(self.H.forms, f"{d.kind}Family")(*d.params)
@@ -132,12 +158,13 @@ class Dumper:
         except H.errors.HeunAirError as exc:
             self.line(tag, "report", _error(exc))
             return
+        n = self.take()
         for r in rep.rows:
             self.line(tag, "row", r.check, r.member, _hex(r.x),
-                      r.value.hex(), r.status)
+                      r.value.hex(), r.status, passes=n)
         self.line(tag, "report", rep.status, rep.points_checked,
                   *(v.hex() for v in (rep.max_residual, rep.wronskian_drift,
-                                      rep.rk_max_rel_error)))
+                                      rep.rk_max_rel_error)), passes=n)
 
     def tabulate(self, seed: int) -> None:
         draws = self.bench.draws
@@ -252,11 +279,43 @@ class Dumper:
                           got)
 
 
+def _split(line: str) -> tuple[str, int]:
+    body, _, passes = line.rstrip("\n").rpartition(" passes=")
+    return body, int(passes)
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    """Count the changed lines of two dumps; 1 when a changed line had no
+    rerun pass at the parent or the dumps differ in their lines."""
+    with open(parent_path) as fp, open(change_path) as fc:
+        parent, change = fp.readlines(), fc.readlines()
+    if len(parent) != len(change):
+        print(f"the dumps have {len(parent)} and {len(change)} lines")
+        return 1
+    changed, unexplained = 0, []
+    for i, (p, c) in enumerate(zip(parent, change), 1):
+        (pb, pn), (cb, _) = _split(p), _split(c)
+        if pb == cb:
+            continue
+        changed += 1
+        if pn == 0 or pb.split(" ", 2)[:2] != cb.split(" ", 2)[:2]:
+            unexplained.append(i)
+    print(f"{len(parent)} lines, {changed} changed, {len(unexplained)} of "
+          "them where the parent made no rerun pass")
+    for i in unexplained[:20]:
+        print(f"line {i}:\n- {parent[i - 1].rstrip()}\n+ {change[i - 1].rstrip()}")
+    return 1 if unexplained else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", required=True,
-                    help="the src/ directory of the tree to dump")
+    src = ap.add_mutually_exclusive_group(required=True)
+    src.add_argument("--src", help="the src/ directory of the tree to dump")
+    src.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                     help="compare two dumps instead")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
 
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.abspath(args.src), PERFBENCH]
