@@ -6,7 +6,8 @@ Three checks, each independent of the closed-form construction it verifies:
                      the analytic first derivative, compared against
                      c1 y' + c0 y pointwise;
 * wronskian_check  — for a normal-form equation (c1 = 0) the Wronskian of
-                     two solutions is constant; measures its relative drift;
+                     two solutions is constant; measures its drift relative
+                     to the products y1 y2' and y2 y1' at each point;
 * rk45_compare     — re-integrates the ODE with an adaptive embedded
                      Runge-Kutta 5(4) pair from initial conditions read off
                      each member, and reports the relative deviation;
@@ -123,27 +124,28 @@ def residual_check(ode: LinearODE, basis: SolutionBasis, xs,
 
 def wronskian_check(basis: SolutionBasis, xs,
                     tol: float = WRONSKIAN_DRIFT_TOL) -> list[CheckRow]:
-    """Relative drift of W = y1 y2' - y2 y1' across xs (constant for
-    solutions of a normal-form equation)."""
-    ws: list[tuple[complex, complex]] = []
+    """Drift of W = y1 y2' - y2 y1' across xs (constant for solutions of a
+    normal-form equation): at each point |W - mean W| over that point's
+    max(|y1 y2'|, |y2 y1'|), the size of the products whose difference W
+    is, so that rounding in a W that cancels does not read as drift."""
+    ws: list[tuple[complex, complex, float]] = []
     rows = []
     for x in xs:
         x = as_complex(x)
         try:
             v1, d1 = basis.y1(x)
             v2, d2 = basis.y2(x)
-            ws.append((x, v1 * d2 - v2 * d1))
+            ws.append((x, v1 * d2 - v2 * d1, max(abs(v1 * d2), abs(v2 * d1))))
         except HeunAirError as exc:
             rows.append(CheckRow("wronskian", "pair", x, float("nan"),
                                  type(exc).__name__))
     if not ws:
         return rows
-    mean = sum(w for _, w in ws) / len(ws)
-    scale = abs(mean)
-    if scale == 0.0:
-        scale = max(abs(w) for _, w in ws) or 1.0
-    for x, w in ws:
-        drift = abs(w - mean) / scale
+    mean = sum(w for _, w, _ in ws) / len(ws)
+    # a point where both products vanish takes the largest scale
+    floor = max(scale for _, _, scale in ws) or 1.0
+    for x, w, scale in ws:
+        drift = abs(w - mean) / (scale or floor)
         rows.append(CheckRow("wronskian", "pair", x, drift,
                              "ok" if drift <= tol else "fail"))
     return rows

@@ -29,6 +29,7 @@ from heun_air import (
     verify_basis,
     wronskian_check,
 )
+from heun_air import cli
 from heun_air.numkernel import POLY_ONE, RAT_ZERO, Poly, RatFun, rat_equal
 from heun_air.specialfns import hyp0f1
 from heun_air.verify import (
@@ -126,6 +127,35 @@ def test_wronskian_check_constant_pair():
 
 def test_wronskian_check_flags_nonconstant_pair():
     rows = wronskian_check(_exp_growing_pair(), XS)
+    assert any(r.status == "fail" for r in rows)
+    assert max(r.value for r in rows) >= 1e-2
+
+
+#: Correct bases whose W is a difference of products about 1e8 times
+#: larger: drift relative to |mean W| read 3.1e-8 and 8.2e-7 from rounding.
+ILL_CONDITIONED_W = [
+    BHEFamily(1.9134, -1.9134),
+    CHEFamily(-1.8209086157044583, 1.4720077101487359, -0.5621622190668396),
+]
+
+
+@pytest.mark.parametrize("family", ILL_CONDITIONED_W, ids=["BHE", "CHE"])
+def test_wronskian_check_scales_drift_by_the_products(family):
+    # at the points and in the windows of `heun-air verify`
+    kind = type(family).__name__[:3]
+    xs, windows = cli._VERIFY_POINTS[kind], cli._VERIFY_WINDOWS[kind]
+    basis = solve_family(family)
+    report = verify_basis(family_to_normal(family), basis, xs,
+                          rk_window=windows, residual_tol=1e-8)
+    assert report.status == "pass"
+    assert report.wronskian_drift <= 1e-11
+
+    def off(x):  # (1 + 1e-3 x) y1 solves no equation of the family
+        v, dv = basis.y1(x)
+        return v * (1 + 1e-3 * x), dv * (1 + 1e-3 * x) + 1e-3 * v
+    bad = make_basis(off, basis.y2, "Hypergeometric", None, "anywhere",
+                     "perturbed", {}, xs[0])
+    rows = wronskian_check(bad, xs)
     assert any(r.status == "fail" for r in rows)
     assert max(r.value for r in rows) >= 1e-2
 
