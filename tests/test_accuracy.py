@@ -86,7 +86,7 @@ def _near_int(r, lo, hi):
     return r.randint(lo, hi) + r.choice((-1, 1)) * 10 ** r.uniform(-6, -3)
 
 
-def _draw(r, make, ok=lambda *a: True):
+def _draw(r, make, ok):
     while True:
         args = make(r)
         if ok(*args):
