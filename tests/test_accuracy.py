@@ -93,6 +93,15 @@ def _draw(r, make, ok):
             return args
 
 
+def _edge_2f1(r):
+    """c - a - b within 1e-6 to 1e-3 of an integer, z in the band
+    0.5 < |z| < 0.95 around z = 1."""
+    a, b = r.uniform(-4, 4), r.uniform(-4, 4)
+    c = a + b + _near_int(r, -3, 3)
+    return (complex(a), complex(b), complex(c),
+            1 - _disk(r, 0.05, 0.5))
+
+
 def _mp(fn):
     return lambda *args: fn(*(_MP.mpc(a) for a in args))
 
@@ -170,18 +179,9 @@ CASES = [
                 complex(r.uniform(0.3, 25), r.uniform(-5, 5))),
      lambda a, b, z: True, 60),
     ("hyp2f1-edge", hyp2f1, _mp(_MP.hyp2f1),
-     lambda r: _edge_2f1(r),
+     _edge_2f1,
      lambda a, b, c, z: _off_int(c, True) and 0.5 < abs(z) < 0.95, 80),
 ]
-
-
-def _edge_2f1(r):
-    """c - a - b within 1e-6 to 1e-3 of an integer, z in the band
-    0.5 < |z| < 0.95 around z = 1."""
-    a, b = r.uniform(-4, 4), r.uniform(-4, 4)
-    c = a + b + _near_int(r, -3, 3)
-    return (complex(a), complex(b), complex(c),
-            1 - _disk(r, 0.05, 0.5))
 
 
 def worst_error(case) -> float:
