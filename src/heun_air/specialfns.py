@@ -35,8 +35,9 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
      declines within INT_TOL of an integer c - a - b; B_x goes through it;
    - Gamma(a, z): Legendre's continued fraction for Re z > 0, and
      Gamma(a) - z^a/a 1F1(a; a+1; -z) otherwise;
-   the estimates of the two routes that multiply gamma factors count the
-   rounding of the reflection near the integers (_gamma_ulps);
+   each estimate also counts the rounding of the route's gamma factors
+   (_gamma_ulps) and powers, which grows with |a|, |b|, |c| and near the
+   integers, where the reflection loses digits;
 3. the mpmath rerun, run exactly as if there were no second route, at a
    working precision chosen from the kernel's estimate, on this thread's
    private mpmath context m.
@@ -451,16 +452,20 @@ def _mp_kummer_u(m, a, b, z):
 
 def _gamma_ulps(*xs) -> float:
     """The rounding of a product of gamma or reciprocal-gamma factors at xs,
-    in units of SERIES_EPS relative: one for each Lanczos sum, and where
-    Re x < 0.5 another |x| / d(x), d(x) the distance from x to the nearest
-    integer, since the reflection evaluates sin(pi x) at the rounded
-    argument pi x. (At an integer, rgamma is exactly 0.)"""
+    in units of SERIES_EPS relative: 1 + 4|x| for the Lanczos formula (its
+    power and its sum lose about |x| ulps; the factor 4 covers the worst of
+    4000 seeded points against mpmath on Re x in [-40, 60], |Im x| <= 60
+    but for a few near Re x = 0.5, Im x ~ 25, where the sum cancels), and
+    where Re x < 0.5 the reflection's sin(pi x) at the rounded argument
+    pi x, |pi x cot(pi x)| <= max(pi |x|, |x| / d) ulps, d the distance from
+    x to the nearest integer. (At an integer, rgamma is exactly 0.)"""
     ulps = 0.0
     for x in xs:
-        ulps += 1.0
+        ax = abs(x)
+        ulps += 1.0 + 4.0 * ax
         d = abs(x - round(x.real))
         if x.real < 0.5 and d:
-            ulps += abs(x) / d
+            ulps += max(math.pi * ax, ax / d)
     return ulps
 
 
@@ -497,9 +502,9 @@ def _k2_kummer_u(cap, a, b, z):
     the square of the halving difference (the rule on the even nodes alone
     has step 2h, and a double-exponential rule's error falls as
     exp(-c/h), so the error at h is about the square of that at 2h), plus
-    the rounding of the sums and the recurrence, SERIES_EPS times the sums'
-    peak-to-value ratio times the recurrence's (|t1| + |t2|) / |U| at each
-    step."""
+    the rounding, SERIES_EPS times the sums' peak-to-value ratio plus that
+    of the factor z^-a0 / Gamma(a0), times the recurrence's
+    (|t1| + |t2|) / |U| at each step."""
     if z.real <= 0:
         return _DECLINE
     n = max(0, math.ceil(1 - a.real))
@@ -531,8 +536,10 @@ def _k2_kummer_u(cap, a, b, z):
         else:
             return _DECLINE  # the integrand did not decay across the nodes
     halving = max(abs(j0 - 2 * e0) / abs(j0), abs(j1 - 2 * e1) / abs(j1))
-    rounding = max(m0 / abs(j0), m1 / abs(j1))
-    scale = rgamma(a0) * principal_power(z, -a0)
+    log_z = cmath.log(z)
+    rounding = (max(m0 / abs(j0), m1 / abs(j1)) + _gamma_ulps(a0)
+                + abs(a0 * log_z))
+    scale = rgamma(a0) * cmath.exp(-a0 * log_z)
     u, u_next = scale * j0, scale * j1 / (a0 * z)
     for k in range(n):
         ak = a0 - k
@@ -588,7 +595,8 @@ def _k2_2f1(cap, a, b, c, z):
     t2 = principal_power(w, s) * g * gamma(-s) * rgamma(a) * rgamma(b) * f2
     v = t1 + t2
     peak = (abs(t1) * (max(c1, 1.0) + _gamma_ulps(c, s, c - a, c - b))
-            + abs(t2) * (max(c2, 1.0) + _gamma_ulps(c, -s, a, b)))
+            + abs(t2) * (max(c2, 1.0) + _gamma_ulps(c, -s, a, b)
+                         + abs(s * cmath.log(w))))
     return v, _export_cancel(peak, abs(v), TINY)
 
 
@@ -668,7 +676,8 @@ def _k2_igam_upper(cap, a, z):
     lower = principal_power(z, a) / a * m
     g = gamma(a)
     v = g - lower
-    peak = abs(g) * _gamma_ulps(a) + abs(lower) * max(cancel, 1.0)
+    peak = (abs(g) * _gamma_ulps(a)
+            + abs(lower) * (max(cancel, 1.0) + abs(a * cmath.log(z))))
     return v, _export_cancel(peak, abs(v), TINY)
 
 
