@@ -705,25 +705,35 @@ def test_rerun_matches_oracle(fn, kernel, args, oracle, tol, no_second_routes):
 
 
 #: Former rerun inputs that a second double-precision route now answers,
-#: one or two per route, as (function, arguments, mpmath oracle).
+#: one or two per route, as (function, kernel, arguments, mpmath oracle).
 SECOND_ROUTE_CASES = [
-    (kummer_u, (0.7, 0.3, 8.0), _MP40.hyperu),  # Laplace integral, n = 0
-    (kummer_u, (-0.8614347027029241, 0.5, 4.0), _MP40.hyperu),  # n = 2
-    (kummer_u, (3.8250058940562157 + 1.7450173638148656j,
-                -2.412477720916686 - 0.0820583540728057j,
-                32.81391793872474 + 9.36216503301399j), _MP40.hyperu),
-    (hyp2f1, (-3.2, 1.1, -6.2, 0.75), _MP40.hyp2f1),  # 1 - z connection
-    (inc_gamma_upper, (0.3, -10.0), _MP40.gammainc),  # 1F1(a; a+1; -z)
-    (inc_gamma_upper, (-8.454538473009723, 5.262642006812971),
+    (kummer_u, specialfns._k_kummer_u, (0.7, 0.3, 8.0),
+     _MP40.hyperu),  # Laplace integral at a itself
+    (kummer_u, specialfns._k_kummer_u,
+     (-0.25972384565175366, 0.5, 12.87174634748123),
+     _MP40.hyperu),  # at a + 2 and a + 3, then two recurrence steps
+    (kummer_u, specialfns._k_kummer_u,
+     (3.8250058940562157 + 1.7450173638148656j,
+      -2.412477720916686 - 0.0820583540728057j,
+      32.81391793872474 + 9.36216503301399j), _MP40.hyperu),
+    (hyp2f1, specialfns._k_2f1, (-3.2, 1.1, -6.2, 0.75),
+     _MP40.hyp2f1),  # 1 - z connection formula
+    (inc_gamma_upper, specialfns._k_igam_upper, (0.3, -10.0),
+     _MP40.gammainc),  # 1F1(a; a+1; -z)
+    (inc_gamma_upper, specialfns._k_igam_upper,
+     (-8.454538473009723, 5.262642006812971),
      _MP40.gammainc),  # Legendre's continued fraction at |z| < 6
-    (inc_beta, (0.8, -7.829358748438622, 4.945809225423889),
+    (inc_beta, specialfns._k_inc_beta,
+     (0.8, -7.829358748438622, 4.945809225423889),
      lambda x, a, b: _MP40.betainc(a, b, 0, x)),  # through 2F1
 ]
 
 
-@pytest.mark.parametrize("fn, args, oracle", SECOND_ROUTE_CASES,
-                         ids=[f"{c[0].__name__}{c[1]}" for c in SECOND_ROUTE_CASES])
-def test_second_route_answers_former_reruns(fn, args, oracle, reruns):
+@pytest.mark.parametrize("fn, kernel, args, oracle", SECOND_ROUTE_CASES,
+                         ids=[f"{c[0].__name__}{c[2]}" for c in SECOND_ROUTE_CASES])
+def test_second_route_answers_former_reruns(fn, kernel, args, oracle, reruns):
+    _, cancel = kernel(specialfns.MAX_TERMS_DEFAULT, *map(complex, args))
+    assert cancel > CANCEL_LIMIT  # the kernel hands the value over
     fv = fn(*args)
     assert reruns == []
     tol = U_ORACLE_REL_TOL if fn is kummer_u else ORACLE_REL_TOL
