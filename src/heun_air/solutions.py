@@ -26,9 +26,9 @@ from .errors import (DegenerateError, DomainError, BranchError, HeunAirError,
                      ParamError, RemovablePointError)
 from .forms import BHEFamily, CHEFamily, Family, GHEFamily, LinearODE
 from .numkernel import POLY_X, Poly, RatFun, as_complex, rat_eval
-from .specialfns import (FnValue, erf_like, hyp1f1, hyp2f1, inc_beta,
-                         inc_gamma_upper, kummer_u, near_nonpositive_integer,
-                         principal_power, whittaker)
+from .specialfns import (CANCEL_LIMIT, FnValue, erf_like, hyp1f1, hyp2f1,
+                         inc_beta, inc_gamma_upper, kummer_u,
+                         near_nonpositive_integer, principal_power, whittaker)
 
 CLASS_LIOUVILLIAN = "Liouvillian"
 CLASS_HYPERGEOMETRIC = "Hypergeometric"
@@ -92,6 +92,19 @@ def pair_pow(p: Pair, w) -> Pair:
 def pair_fn(f: FnValue, chain=1.0) -> Pair:
     """FnValue evaluated at an inner function with derivative `chain`."""
     return (f.value, f.derivative * as_complex(chain))
+
+
+def pair_contiguous(f: FnValue, t1, t2, w, chain=1.0) -> Pair:
+    """pair_fn(f, chain) with f's derivative (t1 + t2) / w, a relation
+    between f's value and a contiguous function's. Where that sum loses
+    more than CANCEL_LIMIT to cancellation, |t1| + |t2| > CANCEL_LIMIT
+    |t1 + t2|, or the quotient is not finite, f's own derivative is read
+    instead (and its series summed then)."""
+    s = t1 + t2
+    d = s / w
+    if cmath.isfinite(d) and abs(t1) + abs(t2) <= CANCEL_LIMIT * abs(s):
+        return (f.value, d * as_complex(chain))
+    return pair_fn(f, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +263,23 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
                 f"x = -sigma = {(-sigma)!r} is a removable point of the "
                 "Kummer-form members; evaluate elsewhere or use a Liouvillian family")
 
+    a0 = big_a - 1
+
+    # U and M at A and A - 1, b = 1/2, differentiated through their
+    # contiguous relations (DLMF 13.3(ii)):
+    #   w U'(A) = (A - b + w) U(A) - U(A-1),
+    #   w U'(A-1) = (A-1)(A - b) U(A) - (A-1) U(A-1),
+    #   w M'(A) = (b - A) M(A-1) + (A - b + w) M(A),
+    #   w M'(A-1) = (A-1) (M(A) - M(A-1)).
     def y1(x):
         x = as_complex(x)
         _check_general(x)
         w = (x + sigma) ** 2
         chain = 2 * (x + sigma)
-        u1 = pair_fn(kummer_u(big_a, 0.5, w), chain)
-        u0 = pair_fn(kummer_u(big_a - 1, 0.5, w), chain)
+        f1, f0 = kummer_u(big_a, 0.5, w), kummer_u(a0, 0.5, w)
+        v1, v0 = f1.value, f0.value
+        u1 = pair_contiguous(f1, (big_a - 0.5 + w) * v1, -v0, w, chain)
+        u0 = pair_contiguous(f0, a0 * (big_a - 0.5) * v1, -a0 * v0, w, chain)
         comb = pair_sub(pair_mul(lam_pair(x), u1), pair_scale(4, u0))
         return pair_mul(prefactor(x), comb)
 
@@ -265,8 +288,11 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
         _check_general(x)
         w = (x + sigma) ** 2
         chain = 2 * (x + sigma)
-        m1 = pair_fn(hyp1f1(big_a, 0.5, w), chain)
-        m0 = pair_fn(hyp1f1(big_a - 1, 0.5, w), chain)
+        f1, f0 = hyp1f1(big_a, 0.5, w), hyp1f1(a0, 0.5, w)
+        v1, v0 = f1.value, f0.value
+        m1 = pair_contiguous(f1, (0.5 - big_a) * v0, (big_a - 0.5 + w) * v1,
+                             w, chain)
+        m0 = pair_contiguous(f0, a0 * v1, -a0 * v0, w, chain)
         comb = pair_sub(pair_scale(tau * tau - sigma * sigma - 2, m0),
                         pair_mul(lam_pair(x), m1))
         return pair_mul(prefactor(x), comb)
@@ -338,12 +364,23 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
 
     mu, nu = che_whittaker_params(f)
 
+    # Whittaker functions at kappa = mu and mu - 1, differentiated through
+    # their contiguous relations (DLMF 13.15(ii)):
+    #   z M'_k = (k - z/2) M_k + (1/2 - k + nu) M_(k-1),
+    #   z M'_(k-1) = (1 - k + z/2) M_(k-1) + (k + nu - 1/2) M_k,
+    #   z W'_k = (k - z/2) W_k + (1/2 - k + nu)(1/2 - k - nu) W_(k-1),
+    #   z W'_(k-1) = (1 - k + z/2) W_(k-1) - W_k.
     def y1(x):
         x = as_complex(x)
         _check_che(x)
         chain = 2 * lam
-        m1 = pair_fn(whittaker("M", mu, nu, 2 * lam * x), chain)
-        m0 = pair_fn(whittaker("M", mu - 1, nu, 2 * lam * x), chain)
+        z = 2 * lam * x
+        f1, f0 = whittaker("M", mu, nu, z), whittaker("M", mu - 1, nu, z)
+        v1, v0 = f1.value, f0.value
+        m1 = pair_contiguous(f1, (mu - z / 2) * v1, (0.5 - mu + nu) * v0,
+                             z, chain)
+        m0 = pair_contiguous(f0, (1 - mu + z / 2) * v0, (mu + nu - 0.5) * v1,
+                             z, chain)
         comb = pair_add(pair_scale(lam * (tau + sigma), m1),
                         pair_scale((1 - sigma) * lam - nu, m0))
         return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
@@ -352,8 +389,13 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
         x = as_complex(x)
         _check_che(x)
         chain = 2 * lam
-        w1 = pair_fn(whittaker("W", mu, nu, 2 * lam * x), chain)
-        w0 = pair_fn(whittaker("W", mu - 1, nu, 2 * lam * x), chain)
+        z = 2 * lam * x
+        f1, f0 = whittaker("W", mu, nu, z), whittaker("W", mu - 1, nu, z)
+        v1, v0 = f1.value, f0.value
+        w1 = pair_contiguous(
+            f1, (mu - z / 2) * v1, (0.5 - mu + nu) * (0.5 - mu - nu) * v0,
+            z, chain)
+        w0 = pair_contiguous(f0, (1 - mu + z / 2) * v0, -v1, z, chain)
         comb = pair_add(w1, pair_scale(lam * (tau - sigma), w0))
         return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
 
@@ -391,6 +433,17 @@ def _refuse_ghe_resonance(big_t) -> None:
             raise ParamError(
                 f"2F1 lower parameter {c!r} degenerates to a nonpositive "
                 "integer (1 +- 2T integer-resonant); no generic basis")
+
+
+def _gauss_pairs(g: FnValue, f: FnValue, al, be, ga, x) -> tuple[Pair, Pair]:
+    """The pairs of G = 2F1(al+1, be+1; ga+1; x) and F = 2F1(al, be; ga; x)
+    from their values: F' = (al be / ga) G (DLMF 15.5.1), and G' from the
+    hypergeometric equation of F (DLMF 15.10.1),
+    x (1 - x) G' = ga F - (ga - (al + be + 1) x) G."""
+    gv, fv = g.value, f.value
+    return (pair_contiguous(g, ga * fv, -(ga - (al + be + 1) * x) * gv,
+                            x * (1 - x)),
+            (fv, al * be / ga * gv))
 
 
 def solve_ghe(f: GHEFamily) -> SolutionBasis:
@@ -443,8 +496,10 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
     def y1(x):
         x = as_complex(x)
         _check_ghe(x)
-        fa = pair_fn(hyp2f1(S + D - T + 1, S - D - T + 2, 2 - 2 * T, x))
-        fb = pair_fn(hyp2f1(S + D - T, S - D + 1 - T, 1 - 2 * T, x))
+        fa, fb = _gauss_pairs(
+            hyp2f1(S + D - T + 1, S - D - T + 2, 2 - 2 * T, x),
+            hyp2f1(S + D - T, S - D + 1 - T, 1 - 2 * T, x),
+            S + D - T, S - D + 1 - T, 1 - 2 * T, x)
         k1 = (T - S - D) * (T - S + D - 1) / 2
         t1 = pair_mul(pair_scale(k1, pair_sub(pair_pow(pair_var(x), 2.5 - T),
                                               pair_pow(pair_var(x), 1.5 - T))), fa)
@@ -456,8 +511,10 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
     def y2(x):
         x = as_complex(x)
         _check_ghe(x)
-        fc = pair_fn(hyp2f1(S + D + T + 1, S - D + T + 2, 2 + 2 * T, x))
-        fd = pair_fn(hyp2f1(S + D + T, S - D + 1 + T, 1 + 2 * T, x))
+        fc, fd = _gauss_pairs(
+            hyp2f1(S + D + T + 1, S - D + T + 2, 2 + 2 * T, x),
+            hyp2f1(S + D + T, S - D + 1 + T, 1 + 2 * T, x),
+            S + D + T, S - D + 1 + T, 1 + 2 * T, x)
         k2 = (T + S + D) * (S - D + 1 + T) / 2
         t1 = pair_mul(pair_scale(k2, pair_sub(pair_pow(pair_var(x), 1.5 + T),
                                               pair_pow(pair_var(x), 2.5 + T))), fc)

@@ -80,7 +80,6 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import mpmath
 from mpmath.libmp import NoConvergence
@@ -138,12 +137,40 @@ def max_terms() -> int:
     return n
 
 
-@dataclass(frozen=True)
 class FnValue:
-    """Function value and derivative with respect to the final argument."""
+    """Function value and derivative with respect to the final argument.
 
-    value: complex
-    derivative: complex
+    The derivative is either given, FnValue(value, derivative), or computed
+    on its first read by a thunk, FnValue(value, thunk=f): the public
+    functions whose derivative is a second series pass that series as the
+    thunk, so a caller that never reads it never sums it. The thunk keeps
+    the term cap its call read, and an error in it (ConvergenceError,
+    NonFiniteError, ...) is raised by the read, at every read."""
+
+    __slots__ = ("value", "_derivative", "_thunk")
+
+    def __init__(self, value, derivative=None, thunk=None):
+        self.value = value
+        self._derivative = derivative
+        self._thunk = thunk
+
+    @property
+    def derivative(self):
+        if self._thunk is not None:
+            self._derivative = self._thunk()
+            self._thunk = None
+        return self._derivative
+
+    def __eq__(self, other):
+        if not isinstance(other, FnValue):
+            return NotImplemented
+        return (self.value, self.derivative) == (other.value, other.derivative)
+
+    def __hash__(self):
+        return hash((self.value, self.derivative))
+
+    def __repr__(self):
+        return f"FnValue(value={self.value!r}, derivative={self.derivative!r})"
 
 
 def near_integer(w, tol: float = INT_TOL) -> bool:
@@ -715,8 +742,8 @@ def hyp1f1(a, b, z) -> FnValue:
         raise ParamError(f"1F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
     value = _guarded(_k_1f1, None, _mp_1f1, cap, a, b, z)
-    deriv = (a / b) * _guarded(_k_1f1, None, _mp_1f1, cap, a + 1, b + 1, z)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: (a / b) * _guarded(
+        _k_1f1, None, _mp_1f1, cap, a + 1, b + 1, z))
 
 
 def kummer_u(a, b, z) -> FnValue:
@@ -733,8 +760,8 @@ def kummer_u(a, b, z) -> FnValue:
         raise DomainError("U undefined at z = 0")
     cap = max_terms()
     value = _guarded(_k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a, b, z)
-    deriv = -a * _guarded(_k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: -a * _guarded(
+        _k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z))
 
 
 def hyp2f1(a, b, c, z) -> FnValue:
@@ -751,8 +778,8 @@ def hyp2f1(a, b, c, z) -> FnValue:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
     cap = max_terms()
     value = _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a, b, c, z)
-    deriv = (a * b / c) * _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: (a * b / c) * _guarded(
+        _k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z))
 
 
 def hyp0f1(b, z) -> FnValue:
@@ -762,8 +789,8 @@ def hyp0f1(b, z) -> FnValue:
         raise ParamError(f"0F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
     value = _guarded(_k_0f1, None, _mp_0f1, cap, b, z)
-    deriv = (1 / b) * _guarded(_k_0f1, None, _mp_0f1, cap, b + 1, z)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: (1 / b) * _guarded(
+        _k_0f1, None, _mp_0f1, cap, b + 1, z))
 
 
 def whittaker(kind: str, mu, nu, z) -> FnValue:
@@ -780,9 +807,8 @@ def whittaker(kind: str, mu, nu, z) -> FnValue:
     b = 1.0 + 2.0 * nu
     inner = hyp1f1(a, b, z) if kind == "M" else kummer_u(a, b, z)
     pref = principal_power(z, nu + 0.5) * cmath.exp(-z / 2)
-    value = pref * inner.value
-    deriv = pref * (((nu + 0.5) / z - 0.5) * inner.value + inner.derivative)
-    return FnValue(value, deriv)
+    return FnValue(pref * inner.value, thunk=lambda: pref * (
+        ((nu + 0.5) / z - 0.5) * inner.value + inner.derivative))
 
 
 def erf_like(kind: str, z) -> FnValue:

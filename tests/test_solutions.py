@@ -311,3 +311,114 @@ def test_basis_metadata_presence():
     assert basis.valid_domain == "0 < x < 1"
     assert isinstance(basis.probe_point, complex)
     basis.y1(basis.probe_point)  # the recorded probe evaluates
+
+
+# ---------------------------------------------------------------------------
+# derivatives through the contiguous relations
+# ---------------------------------------------------------------------------
+
+#: (family, x, then y1 and y2 as float.hex of Re y, Im y, Re y', Im y'):
+#: the members at c5a182a, which read the derivative of every special
+#: function they call.
+DIRECT_DERIVATIVES = [
+    (BHEFamily(0.7, -1.3), 1.35,
+     ("0x1.d9405ddbaad09p-5", "0x0.0p+0", "-0x1.1ba312ff51636p-3", "0x0.0p+0"),
+     ("-0x1.2a36f32ba7fd2p+5", "0x0.0p+0", "-0x1.1d633d6553c42p+6", "0x0.0p+0")),
+    (CHEFamily(0.8, 0.3, -0.9), 1.6,
+     ("-0x1.5cbafd011ae0dp+1", "0x0.0p+0", "-0x1.a2c452897cb40p-5", "0x0.0p+0"),
+     ("0x1.76404346eb7e8p-1", "0x0.0p+0", "-0x1.1006e75d1c542p-1", "0x0.0p+0")),
+    (GHEFamily(2.2, 0.6, 0.3, -0.5), 0.45,
+     ("0x1.fbb0dcfae1dd7p-6", "-0x1.ee54d348e3e1ep-4",
+      "-0x1.34288d6a3d61fp-4", "0x1.2c0ca80d2f780p-2"),
+     ("-0x1.46f97e08906e2p-3", "0x1.3e5ed78f5a8a1p-1",
+      "-0x1.384b23eab7f9cp-1", "0x1.3013636bd5110p+1")),
+]
+
+
+def _hex(v, d):
+    return tuple(t.hex() for t in (v.real, v.imag, d.real, d.imag))
+
+
+@pytest.fixture
+def guarded_calls(monkeypatch):
+    """The number of special-function series evaluations (`_guarded`
+    calls) since the fixture was set up."""
+    from heun_air import specialfns
+    calls = [0]
+    guarded = specialfns._guarded
+
+    def counting(*args):
+        calls[0] += 1
+        return guarded(*args)
+    monkeypatch.setattr(specialfns, "_guarded", counting)
+    return calls
+
+
+@pytest.mark.parametrize("f, x, y1, y2", DIRECT_DERIVATIVES,
+                         ids=["BHE", "CHE", "GHE"])
+def test_members_read_only_values(f, x, y1, y2, guarded_calls):
+    # each member sums the series of its two special-function values and
+    # derives both derivatives from them; its values are those of c5a182a
+    basis = solve_family(f)
+    for member, want in ((basis.y1, y1), (basis.y2, y2)):
+        guarded_calls[0] = 0
+        v, d = member(x)
+        assert guarded_calls[0] == 2
+        assert _hex(v, d)[:2] == want[:2]
+
+
+@pytest.mark.parametrize("f, x, y1, y2", DIRECT_DERIVATIVES[:2],
+                         ids=["BHE", "CHE"])
+def test_cancelling_relation_reads_the_direct_derivative(
+        f, x, y1, y2, guarded_calls, monkeypatch):
+    # with no cancellation allowed, every relation falls back to the
+    # special function's own derivative: the members of c5a182a, bit for bit
+    from heun_air import solutions
+    monkeypatch.setattr(solutions, "CANCEL_LIMIT", 0.0)
+    basis = solve_family(f)
+    for member, want in ((basis.y1, y1), (basis.y2, y2)):
+        guarded_calls[0] = 0
+        assert _hex(*member(x)) == want
+        assert guarded_calls[0] == 4
+
+
+def test_cancelling_gauss_relation_reads_the_direct_derivative(monkeypatch):
+    # GHE's F' = (al be / ga) G is exact and never falls back; G' does
+    from heun_air import hyp2f1, solutions
+    monkeypatch.setattr(solutions, "CANCEL_LIMIT", 0.0)
+    al, be, ga, x = 0.3 + 0.2j, -1.2, -2.7 + 0.5j, 0.63
+    g = hyp2f1(al + 1, be + 1, ga + 1, x)
+    f = hyp2f1(al, be, ga, x)
+    pg, pf = solutions._gauss_pairs(g, f, al, be, ga, x)
+    assert pg == solutions.pair_fn(hyp2f1(al + 1, be + 1, ga + 1, x))
+    assert pf == (f.value, al * be / ga * g.value)
+
+
+def test_pair_contiguous_falls_back_where_the_sum_cancels():
+    from heun_air import FnValue
+    from heun_air.solutions import pair_contiguous, pair_fn
+    reads = []
+
+    def direct():
+        reads.append(1)
+        return 0.25 + 0.5j
+    f = FnValue(2.0 + 0j, thunk=direct)
+    chain = 3.0 - 1j
+    assert pair_contiguous(f, 1.0, 0.5, 0.75, chain) == (2.0, 2.0 * chain)
+    assert reads == []
+    t = 1.0 + 1e-14  # |t1| + |t2| > CANCEL_LIMIT |t1 + t2|
+    assert pair_contiguous(f, t, -1.0, 0.75, chain) == pair_fn(f, chain)
+    assert pair_contiguous(f, float("inf"), 1.0, 0.75, chain) == pair_fn(f, chain)
+    assert reads == [1]  # the thunk runs once; the derivative is kept
+
+
+def test_ghe_residual_where_y1_crosses_zero():
+    # |y1| ~ 1e-3 against |y1'| ~ 20: the residual of y1's derivative read
+    # 1.06e-7 at c5a182a, above verify.RESIDUAL_TOL
+    from heun_air import verify
+    f = GHEFamily(2.6194095452919512, -1.8685561094402763,
+                  0.6365800812413269, -1.822142389217305)
+    rows = verify.residual_check(family_to_normal(f), solve_family(f),
+                                 [0.7499999999999999])
+    assert [r.status for r in rows] == ["ok", "ok"]
+    assert max(r.value for r in rows) <= 1e-7

@@ -629,13 +629,27 @@ def test_max_terms_cap_applies_after_uncapped_calls(monkeypatch):
     # the double path remembers recent 1F1 sums; a sum found under the
     # default cap must not stand in for one the lower cap refuses
     monkeypatch.delenv(ENV_MAX_TERMS, raising=False)
-    hyp1f1(0.5, 1.5, 35.0)
-    kummer_u(0.5, 0.3, 35.0)
+    hyp1f1(0.5, 1.5, 35.0).derivative
+    kummer_u(0.5, 0.3, 35.0).derivative
     monkeypatch.setenv(ENV_MAX_TERMS, "40")
     with pytest.raises(ConvergenceError, match="1F1 series"):
         hyp1f1(0.5, 1.5, 35.0)
     with pytest.raises(ConvergenceError, match="1F1 series"):
         kummer_u(0.5, 0.3, 35.0)
+
+    # a derivative is summed at its first read, under the cap of its call:
+    # `late` was called under the default cap and is read under a cap of
+    # 34; `early` the other way round, and M(0.5; 1.5; 5) sums in 34 terms
+    # where its derivative, M(1.5; 2.5; 5) / 3, takes 35
+    monkeypatch.delenv(ENV_MAX_TERMS)
+    late = [hyp1f1(0.5, 1.5, 30.0), kummer_u(0.5, 0.3, 30.0)]
+    monkeypatch.setenv(ENV_MAX_TERMS, "34")
+    for fv in late:
+        assert cmath.isfinite(fv.derivative)
+    early = hyp1f1(0.5, 1.5, 5.0)
+    monkeypatch.delenv(ENV_MAX_TERMS)
+    with pytest.raises(ConvergenceError, match="1F1 series"):
+        early.derivative
 
 
 def test_max_terms_rejects_garbage(monkeypatch):
@@ -773,9 +787,12 @@ def test_rerun_escalates_precision(no_second_routes, reruns):
     b = -2.412477720916686 - 0.0820583540728057j
     z = 32.81391793872474 + 9.36216503301399j
     fv = kummer_u(a, b, z)
+    assert reruns == [46, 92]
+    # the derivative's reruns run at its first read
+    derivative = fv.derivative
     assert reruns == [46, 92, 47, 94]
     assert_close(fv.value, complex(_MP40.hyperu(a, b, z)), U_ORACLE_REL_TOL)
-    assert_close(fv.derivative, complex(-a * _MP40.hyperu(a + 1, b + 1, z)),
+    assert_close(derivative, complex(-a * _MP40.hyperu(a + 1, b + 1, z)),
                  U_ORACLE_REL_TOL)
 
 
