@@ -27,8 +27,8 @@ from .forms import (_CANONICAL_KEYS, _NORMAL_KEYS, BHEFamily, CanonicalParams,
                     canonical_to_family, family_to_canonical,
                     family_to_normal, family_to_normal_params,
                     normal_to_family)
-from .solutions import (CLASS_LIOUVILLIAN, SolutionBasis, eval_basis,
-                        solve_family)
+from .solutions import (CLASS_HYPERGEOMETRIC, CLASS_LIOUVILLIAN,
+                        SolutionBasis, eval_basis, solve_family)
 from . import verify as verify_mod
 
 COMMANDS = ("detect", "solve", "convert", "eval", "verify", "paper-suite")
@@ -62,6 +62,30 @@ _VERIFY_WINDOWS = {
     "CHE": [(0.2, 0.8), (1.2, 3.0)],
     "GHE": [(0.15, 0.85)],
 }
+#: Distance kept by the default BHE general-branch points and RK window
+#: from the members' removable point x = -sigma.
+_REMOVABLE_MARGIN = 0.12
+
+
+def _verify_plan(fam: Family, basis: SolutionBasis):
+    """The default verification points, RK windows and Wronskian breaks
+    (see verify.verify_basis) of a basis. The BHE general-branch members
+    refuse x = -sigma and continue across it as other solutions, so there
+    the points within _REMOVABLE_MARGIN of it are dropped, the RK windows
+    are cut there and the Wronskian is checked on each side."""
+    pts, windows = list(_VERIFY_POINTS[fam.kind]), _VERIFY_WINDOWS[fam.kind]
+    if fam.kind != "BHE" or basis.classification != CLASS_HYPERGEOMETRIC:
+        return pts, windows, ()
+    r, m = -fam.sigma, _REMOVABLE_MARGIN
+    pts = [x for x in pts if abs(x - r) > m]
+    if abs(r.imag) < m:
+        half = (m * m - r.imag * r.imag) ** 0.5  # of the cut real interval
+        lo_cut, hi_cut = r.real - half, r.real + half
+        windows = [piece for lo, hi in windows
+                   for piece in (((lo, hi),) if hi <= lo_cut or lo >= hi_cut
+                                 else ((lo, lo_cut), (hi_cut, hi)))
+                   if piece[0] < piece[1]]
+    return pts, windows, (r.real,)
 
 
 @dataclass
@@ -327,16 +351,15 @@ def _cmd_eval(job: JobSpec) -> tuple[str, int]:
 def _cmd_verify(job: JobSpec) -> tuple[str, int]:
     fam = _select_family(job)
     basis = solve_family(fam)
-    kind = fam.kind
-    pts = list(_VERIFY_POINTS[kind])
+    pts, windows, breaks = _verify_plan(fam, basis)
     if job.grid is not None:
         pts.extend(_grid_points(job.grid))
     residual_tol = job.tol if job.tol is not None else (
         1e-8 if basis.classification == CLASS_LIOUVILLIAN
         else verify_mod.RESIDUAL_TOL)
     report = verify_mod.verify_basis(
-        family_to_normal(fam), basis, pts,
-        rk_window=_VERIFY_WINDOWS[kind], residual_tol=residual_tol)
+        family_to_normal(fam), basis, pts, rk_window=windows,
+        residual_tol=residual_tol, breaks=breaks)
     out = {
         "family": _family_dict(fam),
         "classification": basis.classification,
@@ -380,9 +403,10 @@ def _cmd_paper_suite(job: JobSpec) -> tuple[str, int]:
         basis = solve_family(fam)
         residual_tol = (1e-8 if basis.classification == CLASS_LIOUVILLIAN
                         else verify_mod.RESIDUAL_TOL)
+        pts, windows, breaks = _verify_plan(fam, basis)
         rep = verify_mod.verify_basis(
-            family_to_normal(fam), basis, _VERIFY_POINTS[kind],
-            rk_window=_VERIFY_WINDOWS[kind], residual_tol=residual_tol)
+            family_to_normal(fam), basis, pts, rk_window=windows,
+            residual_tol=residual_tol, breaks=breaks)
         ok = rep.status != "fail"
         all_ok &= ok
         lines.append(

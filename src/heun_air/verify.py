@@ -303,9 +303,13 @@ def rk45_compare(ode: LinearODE, basis: SolutionBasis, x0, interval,
 # ---------------------------------------------------------------------------
 
 def verify_basis(ode: LinearODE, basis: SolutionBasis, xs, rk_window=None,
-                 residual_tol: float = RESIDUAL_TOL) -> VerificationReport:
+                 residual_tol: float = RESIDUAL_TOL,
+                 breaks=()) -> VerificationReport:
     """Run residual + Wronskian (+ optionally RK) checks and aggregate; each
-    RK window is integrated from its midpoint."""
+    RK window is integrated from its midpoint. `breaks` are real points
+    across which the members continue as other solutions (the BHE general
+    branch's x = -sigma): the Wronskian is checked within each interval
+    between them."""
     report = VerificationReport(family=basis.family)
     res_rows = residual_check(ode, basis, xs, tol=residual_tol)
     report.rows.extend(res_rows)
@@ -313,7 +317,12 @@ def verify_basis(ode: LinearODE, basis: SolutionBasis, xs, rk_window=None,
     report.max_residual = max(vals) if vals else float("nan")
 
     if ode.c1.num.is_zero():
-        w_rows = wronskian_check(basis, xs)
+        sides: dict[int, list] = {}
+        for x in xs:
+            sides.setdefault(sum(as_complex(x).real > b for b in breaks),
+                             []).append(x)
+        w_rows = [row for k in sorted(sides)
+                  for row in wronskian_check(basis, sides[k])]
         report.rows.extend(w_rows)
         vals = [r.value for r in w_rows if r.value == r.value]
         report.wronskian_drift = max(vals) if vals else float("nan")

@@ -6,13 +6,18 @@ byte-stable), per-command exit codes (0 success, 1 verification failure,
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from heun_air import BHEFamily, GHEFamily, SchemaError, solve_family
+from heun_air import (BHEFamily, GHEFamily, SchemaError, family_to_normal,
+                      solve_family, verify_basis)
 from heun_air.cli import (
+    _VERIFY_POINTS,
+    _VERIFY_WINDOWS,
     CSV_COLUMNS,
     GRID_COUNT_CAP,
+    _verify_plan,
     main,
     parse_grid_arg,
     parse_spec,
@@ -310,6 +315,43 @@ def test_verify_unattainable_tolerance_exits_one(tmp_path, capsys):
     assert got["failures"]
     assert all(f["check"] == "residual" and f["status"] == "fail"
                for f in got["failures"])
+
+
+def test_verify_bhe_around_its_removable_point(tmp_path, capsys):
+    # x = -sigma = 1.0 is a default point and lies in the RK window; the
+    # members refuse it and continue across it as other solutions, with
+    # the Wronskian's sign flipped
+    doc = {"form": "bhe_family", "sigma": -1.0, "tau": 0.3}
+    code, out, _ = _run(capsys, ["verify", "--spec", _spec(tmp_path, doc)])
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+    fam = BHEFamily(-1.0, 0.3)
+    basis = solve_family(fam)
+    pts, windows, breaks = _verify_plan(fam, basis)
+    assert pts == [0.4, 0.7, 1.4, 1.9, 2.4]
+    assert windows == [(0.3, 0.88), (1.12, 2.0)] and breaks == (1.0,)
+
+    def off(x):  # (1 + 1e-3 x) y1 solves no equation of the family
+        v, dv = basis.y1(x)
+        g = 1 + 1e-3 * x
+        return v * g, dv * g + 1e-3 * v
+    rep = verify_basis(family_to_normal(fam), replace(basis, y1=off), pts,
+                       rk_window=windows, breaks=breaks)
+    assert rep.status == "fail"
+
+
+def test_verify_bhe_plan_away_from_its_removable_point():
+    # with -sigma outside the window and the points, the defaults stand
+    # and the Wronskian is checked over all points at once
+    fam = BHEFamily(0.3, 0.9)
+    basis = solve_family(fam)
+    pts, windows, breaks = _verify_plan(fam, basis)
+    assert (pts, windows) == (_VERIFY_POINTS["BHE"], _VERIFY_WINDOWS["BHE"])
+    ode = family_to_normal(fam)
+    split = verify_basis(ode, basis, pts, rk_window=windows, breaks=breaks)
+    whole = verify_basis(ode, basis, pts, rk_window=windows)
+    assert split.rows == whole.rows
 
 
 def test_paper_suite_runs_clean(tmp_path, capsys):
