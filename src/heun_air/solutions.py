@@ -12,7 +12,13 @@ companion first-derivative equation and algebraic reconstruction — it must
 
 Members are composed with a tiny (value, derivative) pair algebra, so every
 derivative is exact by product/chain rule; no finite differencing happens
-inside the library.
+inside the library. Each general-branch member combines two contiguous
+special functions (U or M at A and A - 1, Whittaker M or W at mu and
+mu - 1, 2F1 at (a, b; c) and (a+1, b+1; c+1)); it reads only their values
+and takes both derivatives from the contiguous relations between them
+(pair_contiguous), reading a function's own derivative, a second series,
+only where its relation cancels. The p-route and the Liouvillian members
+read the special functions' derivatives.
 """
 from __future__ import annotations
 

@@ -5,7 +5,9 @@ function family, and the incomplete gamma/beta integrals — everything the
 closed-form solution bases are built from. Each public function returns an
 FnValue carrying the value and the derivative with respect to the final
 argument, so solution members can be assembled with exact product/chain rules
-(no finite differencing inside the library).
+(no finite differencing inside the library). Where the derivative is a second
+series (0F1, 1F1, U, 2F1 and the Whittaker functions), it is summed at its
+first read, so a caller that needs only the value sums only its series.
 
 Numeric architecture
 --------------------
@@ -57,9 +59,14 @@ estimates a cancellation, that of its connection formula; every other rerun
 reports 1. A rerun whose estimate is still too large for its precision is
 repeated at a higher one, at most three passes in all.
 
+A derivative that is a second series runs through _guarded at its first
+read, under the term cap that its call read; its errors (ConvergenceError,
+NonFiniteError, ...) are raised by that read, and by every later one, not
+by the call.
+
 The double path keeps two bounded LRU memos, since one point of a basis
-repeats work: the members of a BHE or CHE basis sum four identical 1F1
-series at each x, and U's gamma factors depend on (a, b) only. The 1F1 memo
+repeats work: the members of a BHE or CHE basis sum two identical 1F1
+series at each x (their M values and two of their U or W values' sums), and U's gamma factors depend on (a, b) only. The 1F1 memo
 holds the last 256 (value, cancel) results of the double-path 1F1 kernel,
 keyed on (term cap, a, b, z), so a lower HEUN_AIR_MAX_TERMS is never
 answered from a sum found under a higher one. The U memo holds the two

@@ -44,7 +44,19 @@ parent computed by an mpmath rerun is checked with
 
 which counts the lines that differ (beside `passes=`) and fails when one
 of them is a line for which the parent made no rerun pass, or when the
-dumps do not have the same lines.
+dumps do not have the same lines. A change that may move derivatives, but
+no value and no status, is checked with
+
+    python3 tools/bit_identity.py --drift parent.dump change.dump
+
+which fails when a value changed: a member's or a special function's y,
+or a line of basis metadata or normal-form coefficients. It also fails
+when a status changed: an error a point, a call or `solve_family`
+raised, a `verify_basis` row's status or a report's status and row count
+(or its error), or a CLI exit code. It prints the changed lines per kind
+and the worst derivative change relative to max(|y|, |y'|) of the
+parent's line. Changed `verify_basis` values and aggregates, CSV hashes
+and CLI output hashes are counted, not judged.
 """
 from __future__ import annotations
 
@@ -57,6 +69,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 
@@ -307,15 +320,99 @@ def compare(parent_path: str, change_path: str) -> int:
     return 1 if unexplained else 0
 
 
+_HEX = r"[-+]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]\d+|inf|nan)"
+_PAIR = re.compile(f"{_HEX},{_HEX}")
+
+
+def _cx(pair: str) -> complex:
+    re_, im = pair.split(",")
+    return complex(float.fromhex(re_), float.fromhex(im))
+
+
+def _kind(body: str) -> str:
+    tag, kind = body.split(" ", 2)[:2]
+    if tag.startswith("specialfns:"):
+        return "specialfns"
+    return "member" if kind in ("y1", "y2") else kind
+
+
+def _judge(kind: str, p: str, c: str) -> tuple[str | None, float]:
+    """(None, drift) for a change allowed to a derivative-moving change,
+    with its derivative drift, or (what changed, 0.0) for one that is not.
+    Value lines end in `value derivative` or in an error."""
+    pt, ct = p.split(" "), c.split(" ")
+    if kind in ("member", "specialfns"):
+        if not (len(pt) == len(ct) and all(map(_PAIR.fullmatch, pt[-2:]))
+                and all(map(_PAIR.fullmatch, ct[-2:]))):
+            return "status", 0.0  # an error appeared, vanished or changed
+        if pt[:-1] != ct[:-1]:
+            return "value", 0.0
+        v, dp, dc = _cx(pt[-2]), _cx(pt[-1]), _cx(ct[-1])
+        return None, abs(dc - dp) / max(abs(v), abs(dp), 1e-300)
+    if kind == "row":  # check member x value status
+        same = pt[:5] == ct[:5] and pt[-1] == ct[-1]
+        return (None if same else "status"), 0.0
+    if kind == "report":  # status points_checked aggregates, or an error
+        same = pt[:4] == ct[:4] and (pt[2] in ("pass", "partial", "fail")
+                                      or p == c)
+        return (None if same else "status"), 0.0
+    if kind == "cli":  # command code sha(stdout) sha(stderr)
+        return (None if pt[:4] == ct[:4] else "status"), 0.0
+    if kind == "csv":
+        return None, 0.0
+    return ("status" if kind == "solve" else "value"), 0.0
+
+
+def drift(parent_path: str, change_path: str) -> int:
+    """Count the changed lines of two dumps per kind and report the worst
+    derivative change; 1 when a value or a status changed or the dumps
+    differ in their lines."""
+    with open(parent_path) as fp, open(change_path) as fc:
+        parent, change = fp.readlines(), fc.readlines()
+    if len(parent) != len(change):
+        print(f"the dumps have {len(parent)} and {len(change)} lines")
+        return 1
+    changed: dict[str, int] = {}
+    faults = {"value": [], "status": []}
+    worst, worst_at = 0.0, 0
+    for i, (p, c) in enumerate(zip(parent, change), 1):
+        pb, cb = _split(p)[0], _split(c)[0]
+        if pb == cb:
+            continue
+        kind = _kind(pb)
+        changed[kind] = changed.get(kind, 0) + 1
+        fault, d = _judge(kind, pb, cb)
+        if fault:
+            faults[fault].append(i)
+        elif d > worst:
+            worst, worst_at = d, i
+    print(f"{len(parent)} lines; changed: " + ", ".join(
+        f"{k} {n}" for k, n in sorted(changed.items())) + (
+        "" if changed else "none"))
+    print(f"{len(faults['value'])} value changes, {len(faults['status'])} "
+          "status changes")
+    if worst_at:
+        print(f"worst derivative change {worst:.3g} of max(|y|, |y'|), "
+              f"line {worst_at}:\n- {parent[worst_at - 1].rstrip()}\n"
+              f"+ {change[worst_at - 1].rstrip()}")
+    for i in (faults["value"] + faults["status"])[:20]:
+        print(f"line {i}:\n- {parent[i - 1].rstrip()}\n+ {change[i - 1].rstrip()}")
+    return 1 if faults["value"] or faults["status"] else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--src", help="the src/ directory of the tree to dump")
     src.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                      help="compare two dumps instead")
+    src.add_argument("--drift", nargs=2, metavar=("PARENT", "CHANGE"),
+                     help="compare two dumps that may differ in derivatives")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.drift:
+        return drift(*args.drift)
 
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.abspath(args.src), PERFBENCH]
