@@ -66,8 +66,9 @@ by the call.
 
 The double path keeps two bounded LRU memos, since one point of a basis
 repeats work: the members of a BHE or CHE basis sum two identical 1F1
-series at each x (their M values and two of their U or W values' sums), and U's gamma factors depend on (a, b) only. The 1F1 memo
-holds the last 256 (value, cancel) results of the double-path 1F1 kernel,
+series at each x (the M member's two values are terms of the U or W
+member's), and U's gamma factors depend on (a, b) only. The 1F1 memo holds
+the last 256 (value, cancel) results of the double-path 1F1 kernel,
 keyed on (term cap, a, b, z), so a lower HEUN_AIR_MAX_TERMS is never
 answered from a sum found under a higher one. The U memo holds the two
 gamma products of the connection formula for the last 16 (a, b). Each
