@@ -70,22 +70,19 @@ _REMOVABLE_MARGIN = 0.12
 def _verify_plan(fam: Family, basis: SolutionBasis):
     """The default verification points, RK windows and Wronskian breaks
     (see verify.verify_basis) of a basis. The BHE general-branch members
-    refuse x = -sigma and continue across it as other solutions, so there
-    the points within _REMOVABLE_MARGIN of it are dropped, the RK windows
-    are cut there and the Wronskian is checked on each side."""
+    refuse x = -sigma and continue across x = -Re sigma as other solutions,
+    so the points within _REMOVABLE_MARGIN of it are dropped, the RK
+    windows are cut there and the Wronskian is checked on each side."""
     pts, windows = list(_VERIFY_POINTS[fam.kind]), _VERIFY_WINDOWS[fam.kind]
     if fam.kind != "BHE" or basis.classification != CLASS_HYPERGEOMETRIC:
         return pts, windows, ()
-    r, m = -fam.sigma, _REMOVABLE_MARGIN
-    pts = [x for x in pts if abs(x - r) > m]
-    if abs(r.imag) < m:
-        half = (m * m - r.imag * r.imag) ** 0.5  # of the cut real interval
-        lo_cut, hi_cut = r.real - half, r.real + half
-        windows = [piece for lo, hi in windows
-                   for piece in (((lo, hi),) if hi <= lo_cut or lo >= hi_cut
-                                 else ((lo, lo_cut), (hi_cut, hi)))
-                   if piece[0] < piece[1]]
-    return pts, windows, (r.real,)
+    c, m = -fam.sigma.real, _REMOVABLE_MARGIN
+    pts = [x for x in pts if abs(x - c) > m]
+    windows = [piece for lo, hi in windows
+               for piece in (((lo, hi),) if hi <= c - m or lo >= c + m
+                             else ((lo, c - m), (c + m, hi)))
+               if piece[0] < piece[1]]
+    return pts, windows, (c,)
 
 
 @dataclass

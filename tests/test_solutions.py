@@ -17,6 +17,7 @@ from heun_air import (
     CHEFamily,
     DegenerateError,
     DomainError,
+    FnValue,
     GHEFamily,
     HeunAirError,
     ParamError,
@@ -25,14 +26,18 @@ from heun_air import (
     eval_basis,
     family_to_normal,
     ghe_exponents,
+    hyp2f1,
     is_liouvillian,
     make_basis,
     rat_eval,
+    solutions,
     solve_bhe,
     solve_che,
     solve_family,
     solve_ghe,
     solve_via_p_route,
+    specialfns,
+    verify,
     wronskian_at,
 )
 
@@ -343,7 +348,6 @@ def _hex(v, d):
 def guarded_calls(monkeypatch):
     """The number of special-function series evaluations (`_guarded`
     calls) since the fixture was set up."""
-    from heun_air import specialfns
     calls = [0]
     guarded = specialfns._guarded
 
@@ -373,7 +377,6 @@ def test_cancelling_relation_reads_the_direct_derivative(
         f, x, y1, y2, guarded_calls, monkeypatch):
     # with no cancellation allowed, every relation falls back to the
     # special function's own derivative: the members of c5a182a, bit for bit
-    from heun_air import solutions
     monkeypatch.setattr(solutions, "CANCEL_LIMIT", 0.0)
     basis = solve_family(f)
     for member, want in ((basis.y1, y1), (basis.y2, y2)):
@@ -384,7 +387,6 @@ def test_cancelling_relation_reads_the_direct_derivative(
 
 def test_cancelling_gauss_relation_reads_the_direct_derivative(monkeypatch):
     # GHE's F' = (al be / ga) G is exact and never falls back; G' does
-    from heun_air import hyp2f1, solutions
     monkeypatch.setattr(solutions, "CANCEL_LIMIT", 0.0)
     al, be, ga, x = 0.3 + 0.2j, -1.2, -2.7 + 0.5j, 0.63
     g = hyp2f1(al + 1, be + 1, ga + 1, x)
@@ -395,8 +397,6 @@ def test_cancelling_gauss_relation_reads_the_direct_derivative(monkeypatch):
 
 
 def test_pair_contiguous_falls_back_where_the_sum_cancels():
-    from heun_air import FnValue
-    from heun_air.solutions import pair_contiguous, pair_fn
     reads = []
 
     def direct():
@@ -404,18 +404,18 @@ def test_pair_contiguous_falls_back_where_the_sum_cancels():
         return 0.25 + 0.5j
     f = FnValue(2.0 + 0j, thunk=direct)
     chain = 3.0 - 1j
-    assert pair_contiguous(f, 1.0, 0.5, 0.75, chain) == (2.0, 2.0 * chain)
+    contiguous, direct = solutions.pair_contiguous, solutions.pair_fn
+    assert contiguous(f, 1.0, 0.5, 0.75, chain) == (2.0, 2.0 * chain)
     assert reads == []
     t = 1.0 + 1e-14  # |t1| + |t2| > CANCEL_LIMIT |t1 + t2|
-    assert pair_contiguous(f, t, -1.0, 0.75, chain) == pair_fn(f, chain)
-    assert pair_contiguous(f, float("inf"), 1.0, 0.75, chain) == pair_fn(f, chain)
+    assert contiguous(f, t, -1.0, 0.75, chain) == direct(f, chain)
+    assert contiguous(f, float("inf"), 1.0, 0.75, chain) == direct(f, chain)
     assert reads == [1]  # the thunk runs once; the derivative is kept
 
 
 def test_ghe_residual_where_y1_crosses_zero():
     # |y1| ~ 1e-3 against |y1'| ~ 20: the residual of y1's derivative read
     # 1.06e-7 at c5a182a, above verify.RESIDUAL_TOL
-    from heun_air import verify
     f = GHEFamily(2.6194095452919512, -1.8685561094402763,
                   0.6365800812413269, -1.822142389217305)
     rows = verify.residual_check(family_to_normal(f), solve_family(f),
