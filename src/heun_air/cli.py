@@ -345,18 +345,26 @@ def _cmd_eval(job: JobSpec) -> tuple[str, int]:
     return csv, code
 
 
+def _verify_family(fam: Family, basis: SolutionBasis, extra=(),
+                   tol: float | None = None) -> verify_mod.VerificationReport:
+    """verify_basis of a family's basis at its _verify_plan and the points
+    `extra`, to the residual tolerance `tol`, by default 1e-8 for a
+    Liouvillian basis and verify.RESIDUAL_TOL otherwise."""
+    pts, windows, breaks = _verify_plan(fam, basis)
+    pts.extend(extra)
+    if tol is None:
+        tol = (1e-8 if basis.classification == CLASS_LIOUVILLIAN
+               else verify_mod.RESIDUAL_TOL)
+    return verify_mod.verify_basis(
+        family_to_normal(fam), basis, pts, rk_window=windows,
+        residual_tol=tol, breaks=breaks)
+
+
 def _cmd_verify(job: JobSpec) -> tuple[str, int]:
     fam = _select_family(job)
     basis = solve_family(fam)
-    pts, windows, breaks = _verify_plan(fam, basis)
-    if job.grid is not None:
-        pts.extend(_grid_points(job.grid))
-    residual_tol = job.tol if job.tol is not None else (
-        1e-8 if basis.classification == CLASS_LIOUVILLIAN
-        else verify_mod.RESIDUAL_TOL)
-    report = verify_mod.verify_basis(
-        family_to_normal(fam), basis, pts, rk_window=windows,
-        residual_tol=residual_tol, breaks=breaks)
+    extra = () if job.grid is None else _grid_points(job.grid)
+    report = _verify_family(fam, basis, extra, job.tol)
     out = {
         "family": _family_dict(fam),
         "classification": basis.classification,
@@ -398,12 +406,7 @@ def _cmd_paper_suite(job: JobSpec) -> tuple[str, int]:
     for fam in _SUITE_FAMILIES:
         kind = fam.kind
         basis = solve_family(fam)
-        residual_tol = (1e-8 if basis.classification == CLASS_LIOUVILLIAN
-                        else verify_mod.RESIDUAL_TOL)
-        pts, windows, breaks = _verify_plan(fam, basis)
-        rep = verify_mod.verify_basis(
-            family_to_normal(fam), basis, pts, rk_window=windows,
-            residual_tol=residual_tol, breaks=breaks)
+        rep = _verify_family(fam, basis)
         ok = rep.status != "fail"
         all_ok &= ok
         lines.append(

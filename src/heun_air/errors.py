@@ -44,8 +44,10 @@ class ZeroCoefficientError(HeunAirError):
 
 
 class RemovablePointError(HeunAirError):
-    """Evaluation at an apparent singularity of the printed expression that
-    is removable for the underlying solution; the printed form is refused."""
+    """Evaluation at an apparent singularity of the printed expression; the
+    printed form is refused. Raised by the BHE general-branch members at
+    x = -sigma, which is removable for y2 only: y1 continues across
+    x = -Re sigma as a different solution (see solutions.solve_bhe)."""
 
 
 class StiffnessError(HeunAirError):

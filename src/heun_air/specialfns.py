@@ -12,7 +12,9 @@ first read, so a caller that needs only the value sums only its series.
 Numeric architecture
 --------------------
 Every function has one double-precision kernel, _k_*(cap, ...), on builtin
-complex with the Lanczos gamma, and one mpmath rerun, _mp_*(m, ...). In the
+complex with the Lanczos gamma, and one mpmath rerun, _mp_*(m, ...): a
+single call of mpmath's own function (hyp0f1, hyp1f1, hyperu, hyp2f1, erf,
+gammainc, or betainc(a, b, 0, x) for B_x). In the
 kernels every series is summed by _sum_series and both continued fractions
 by the modified-Lentz loop _lentz, which stop once |term| <= 1e-16 |sum|
 three consecutive times (non-strict, so an exactly zero sum stops) or
@@ -40,9 +42,8 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
    each estimate also counts the rounding of the route's gamma factors
    (_gamma_ulps) and powers, which grows with |a|, |b|, |c| and near the
    integers, where the reflection loses digits;
-3. the mpmath rerun, run exactly as if there were no second route, at a
-   working precision chosen from the kernel's estimate, on this thread's
-   private mpmath context m.
+3. the mpmath rerun, on this thread's private mpmath context m at the
+   fixed working precision _RERUN_DPS, whose value is rounded to a double.
 
 So a call that the kernel answers is unchanged by the second routes, and
 only a value that the kernel would have handed to the rerun can come from
@@ -50,14 +51,14 @@ a second route instead: it then differs from the rerun's value in the last
 digits, by at most ~1e-13 relative (tests/test_accuracy.py). A second
 route that raises a typed error or overflows declines.
 
-A rerun calls mpmath's own 0F1/1F1/2F1, erf and incomplete gamma, which
-raise their own precision; a sum cancelling below the working precision,
-such as a terminating series whose value is exactly 0, is 0. Only the outer
-combinations are written out on mpmath scalars: the U connection formula,
-the Kummer and Euler transformations and the B_x prefactor. U's rerun alone
-estimates a cancellation, that of its connection formula; every other rerun
-reports 1. A rerun whose estimate is still too large for its precision is
-repeated at a higher one, at most three passes in all.
+mpmath's functions raise their own working precision while a sum cancels
+(F. Johansson et al., mpmath, https://mpmath.org), so a rerun is one pass
+and reads no estimate; a hypergeometric sum cancelling below the working
+precision, such as a terminating series whose value is exactly 0, is 0. So
+U's connection formula, the Kummer and Euler transformations and the B_x
+prefactor are written once, in the double kernels. At the points a rerun
+answers, tests/test_accuracy.py compares mpmath with itself at 40 digits:
+there it checks the working precision, not the algorithm.
 
 A derivative that is a second series runs through _guarded at its first
 read, under the term cap that its call read; its errors (ConvergenceError,
@@ -314,34 +315,35 @@ def principal_power(z, w) -> complex:
 _local = threading.local()
 
 
-def _mp_ctx(dps: int) -> mpmath.MPContext:
-    """This thread's private mpmath context, set to dps digits, so that a
+#: Working precision of the mpmath rerun, in decimal digits: the 17 that
+#: fix a double and 9 guard digits.
+_RERUN_DPS = 26
+
+
+def _mp_ctx() -> mpmath.MPContext:
+    """This thread's private mpmath context, at _RERUN_DPS digits, so that a
     rerun never changes the global mpmath.mp precision. Created once per
     thread: building an mpmath.MPContext costs about a millisecond."""
     m = getattr(_local, "m", None)
     if m is None:
         m = _local.m = mpmath.MPContext()
-    m.dps = dps
+        m.dps = _RERUN_DPS
     return m
 
 
-def _export_cancel(peak, mag_final, tiny) -> float:
-    c = peak / max(mag_final, tiny)
-    try:
-        f = float(c)
-    except OverflowError:
-        return 1e300
-    if not math.isfinite(f):
-        return 1e300
-    return min(f, 1e300)
+def _export_cancel(peak, mag_final) -> float:
+    """peak / mag_final, at most 1e300 (also where it is inf or nan)."""
+    c = peak / max(mag_final, TINY)
+    return c if c <= 1e300 else 1e300
 
 
 def _guarded(kernel, second, rerun, cap, *args) -> complex:
     """Run a double-precision kernel under the term cap `cap`. When its
     cancellation estimate says double precision was insufficient, try the
     second double-precision route `second` (None for none), and when that
-    declines or its own estimate exceeds CANCEL_LIMIT too, run the mpmath
-    rerun exactly as it would have run without the second route."""
+    declines or its own estimate exceeds CANCEL_LIMIT too, return
+    rerun(m, *args): one call of mpmath's own function on this thread's
+    private context m."""
     value, cancel = kernel(cap, *args)
     if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
@@ -353,21 +355,17 @@ def _guarded(kernel, second, rerun, cap, *args) -> complex:
         else:
             if cmath.isfinite(v2) and est <= CANCEL_LIMIT:
                 return v2
-    dps = min(180, 26 + int(math.log10(max(cancel, 1.0))) + 6)
-    for _ in range(3):
-        m = _mp_ctx(dps)
-        try:
-            v, cancel = rerun(m, *args)
-        except NoConvergence as e:
-            raise ConvergenceError(f"extended-precision evaluation: {e}") from None
-        ok = m.isfinite(v) and cancel < 10.0 ** (dps - 20)
-        if ok:
-            try:
-                return complex(v)
-            except OverflowError:
-                raise NonFiniteError("function value overflows double precision")
-        dps = min(340, max(2 * dps, int(26 + math.log10(max(cancel, 1.0))) + 10))
-    raise ConvergenceError("extended-precision evaluation failed to stabilize")
+    m = _mp_ctx()
+    try:
+        v = rerun(m, *args)
+    except NoConvergence as e:
+        raise ConvergenceError(f"extended-precision evaluation: {e}") from None
+    if not m.isfinite(v):
+        raise ConvergenceError("extended-precision evaluation is not finite")
+    try:
+        return complex(v)
+    except OverflowError:
+        raise NonFiniteError("function value overflows double precision")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +425,7 @@ def _k_1f1_series(cap, a, b, z):
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1),
         "1F1 series", cap)
-    return s, _export_cancel(peak, abs(s), TINY)
+    return s, _export_cancel(peak, abs(s))
 
 
 @functools.lru_cache(maxsize=_MEMO_1F1)
@@ -444,11 +442,7 @@ def _k_1f1(cap, a, b, z):
 # zeroprec: a sum that cancels below the working precision, such as a
 # terminating series whose value is exactly 0, is 0 instead of a ValueError
 def _mp_1f1(m, a, b, z):
-    a, b, z = m.mpc(a), m.mpc(b), m.mpc(z)
-    if float(z.real) < KUMMER_RE_THRESHOLD:
-        v = m.hyp1f1(b - a, b, -z, zeroprec=m.prec)
-        return m.exp(z) * v, 1.0
-    return m.hyp1f1(a, b, z, zeroprec=m.prec), 1.0
+    return m.hyp1f1(a, b, z, zeroprec=m.prec)
 
 
 @functools.lru_cache(maxsize=_MEMO_U_FACTORS)
@@ -468,21 +462,11 @@ def _k_kummer_u(cap, a, b, z):
     t2 = g2 * principal_power(z, 1 - b) * m2
     u = t1 + t2
     peak = abs(t1) * max(c1, 1.0) + abs(t2) * max(c2, 1.0)
-    return u, _export_cancel(peak, abs(u), TINY)
+    return u, _export_cancel(peak, abs(u))
 
 
 def _mp_kummer_u(m, a, b, z):
-    """The connection formula on mpmath scalars (z != 0); the one rerun that
-    estimates a cancellation, that of the formula's two terms."""
-    a, b, z = m.mpc(a), m.mpc(b), m.mpc(z)
-    m1, _ = _mp_1f1(m, a, b, z)
-    m2, _ = _mp_1f1(m, a - b + 1, 2 - b, z)
-    g1 = m.gamma(1 - b) * m.rgamma(a - b + 1)
-    g2 = m.gamma(b - 1) * m.rgamma(a)
-    t1 = g1 * m1
-    t2 = g2 * m.exp((1 - b) * m.log(z)) * m2
-    u = t1 + t2
-    return u, _export_cancel(abs(t1) + abs(t2), abs(u), m.mpf(10) ** (-4 * m.dps))
+    return m.hyperu(a, b, z, zeroprec=m.prec)
 
 
 def _gamma_ulps(*xs) -> float:
@@ -589,7 +573,7 @@ def _k_2f1_series(cap, a, b, c, z):
     s, peak = _sum_series(
         1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
         "2F1 series", cap)
-    return s, _export_cancel(peak, abs(s), TINY)
+    return s, _export_cancel(peak, abs(s))
 
 
 def _k_2f1(cap, a, b, c, z):
@@ -604,12 +588,7 @@ def _k_2f1(cap, a, b, c, z):
 
 
 def _mp_2f1(m, a, b, c, z):
-    """The same on mpmath scalars, for |z| < 1."""
-    a, b, c, z = m.mpc(a), m.mpc(b), m.mpc(c), m.mpc(z)
-    if abs(z) > 0.5 and float((c - a - b).real) < 0:
-        v = m.hyp2f1(c - a, c - b, c, z, zeroprec=m.prec)
-        return m.exp((c - a - b) * m.log(1 - z)) * v, 1.0
-    return m.hyp2f1(a, b, c, z, zeroprec=m.prec), 1.0
+    return m.hyp2f1(a, b, c, z, zeroprec=m.prec)
 
 
 def _k2_2f1(cap, a, b, c, z):
@@ -632,17 +611,17 @@ def _k2_2f1(cap, a, b, c, z):
     peak = (abs(t1) * (max(c1, 1.0) + _gamma_ulps(c, s, c - a, c - b))
             + abs(t2) * (max(c2, 1.0) + _gamma_ulps(c, -s, a, b)
                          + abs(s * cmath.log(w))))
-    return v, _export_cancel(peak, abs(v), TINY)
+    return v, _export_cancel(peak, abs(v))
 
 
 def _k_0f1(cap, b, z):
     s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)),
                           "0F1 series", cap)
-    return s, _export_cancel(peak, abs(s), TINY)
+    return s, _export_cancel(peak, abs(s))
 
 
 def _mp_0f1(m, b, z):
-    return m.hyp0f1(m.mpc(b), m.mpc(z), zeroprec=m.prec), 1.0
+    return m.hyp0f1(b, z, zeroprec=m.prec)
 
 
 def _k_erf(cap, z):
@@ -655,19 +634,19 @@ def _k_erf(cap, z):
         s, peak = _sum_series(
             z, lambda t, n: t * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3)),
             "erf series", cap)
-        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s), TINY)
+        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s))
     # 1/(sqrt(pi) e^(w^2) erfc w) = w + (1/2)/(w + 1/(w + (3/2)/(w + ...))), Re w > 0
     w = z if z.real > 0 else -z
     f = _lentz(w, lambda n: complex(n) / 2, lambda n: w,
                "erfc continued fraction", cap)
     erfc_w = cmath.exp(-w * w) / _SQRT_PI / f
     erf_w = 1 - erfc_w
-    cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w), TINY)
+    cancel = _export_cancel(1 + abs(erfc_w), abs(erf_w))
     return (erf_w if z.real > 0 else -erf_w), cancel
 
 
 def _mp_erf(m, z):
-    return m.erf(m.mpc(z)), 1.0
+    return m.erf(z)
 
 
 def _legendre_igam(cap, a, z):
@@ -690,13 +669,13 @@ def _k_igam_upper(cap, a, z):
     lower = principal_power(z, a) * cmath.exp(-z) * s
     g = gamma(a)
     v = g - lower
-    series_cancel = _export_cancel(peak, abs(s), TINY)
+    series_cancel = _export_cancel(peak, abs(s))
     peak_outer = abs(g) + abs(lower) * max(series_cancel, 1.0)
-    return v, _export_cancel(peak_outer, abs(v), TINY)
+    return v, _export_cancel(peak_outer, abs(v))
 
 
 def _mp_igam_upper(m, a, z):
-    return m.gammainc(m.mpc(a), m.mpc(z)), 1.0
+    return m.gammainc(a, z)
 
 
 def _k2_igam_upper(cap, a, z):
@@ -713,7 +692,7 @@ def _k2_igam_upper(cap, a, z):
     v = g - lower
     peak = (abs(g) * _gamma_ulps(a)
             + abs(lower) * (max(cancel, 1.0) + abs(a * cmath.log(z))))
-    return v, _export_cancel(peak, abs(v), TINY)
+    return v, _export_cancel(peak, abs(v))
 
 
 def _k_inc_beta(cap, x, a, b):
@@ -729,10 +708,7 @@ def _k2_inc_beta(cap, x, a, b):
 
 
 def _mp_inc_beta(m, x, a, b):
-    """The same on mpmath scalars; x != 0, since B_0 never reruns."""
-    x, a, b = m.mpc(x), m.mpc(a), m.mpc(b)
-    f, _ = _mp_2f1(m, a, 1 - b, a + 1, x)
-    return m.exp(a * m.log(x)) / a * f, 1.0
+    return m.betainc(a, b, 0, x)
 
 
 # ---------------------------------------------------------------------------

@@ -703,19 +703,22 @@ def reruns(monkeypatch):
     asked = []
     mp_ctx = specialfns._mp_ctx
 
-    def spy(dps):
-        asked.append(dps)
-        return mp_ctx(dps)
+    def spy(*args):
+        m = mp_ctx(*args)
+        asked.append(m.dps)
+        return m
     monkeypatch.setattr(specialfns, "_mp_ctx", spy)
     return asked
 
 
 @pytest.mark.parametrize("fn, kernel, args, oracle, tol", RERUN_CASES,
                          ids=[f"{c[0].__name__}{c[2]}" for c in RERUN_CASES])
-def test_rerun_matches_oracle(fn, kernel, args, oracle, tol, no_second_routes):
+def test_rerun_matches_oracle(fn, kernel, args, oracle, tol, no_second_routes,
+                              reruns):
     _, cancel = kernel(specialfns.MAX_TERMS_DEFAULT, *args)
     assert cancel > CANCEL_LIMIT  # the double path hands over to mpmath
     assert_close(fn(*args).value, complex(oracle(*args)), tol)
+    assert len(reruns) == 1
 
 
 #: Former rerun inputs that a second double-precision route now answers,
@@ -781,16 +784,17 @@ def test_rerun_kummer_u_derivative_matches_oracle(no_second_routes):
                  complex(-a * _MP40.hyperu(a + 1, b + 1, z)), U_ORACLE_REL_TOL)
 
 
-def test_rerun_escalates_precision(no_second_routes, reruns):
-    # the first pass at each precision is not enough: both reruns double it
+def test_rerun_is_one_pass_at_fixed_precision(no_second_routes, reruns):
+    # the kernel's estimates here are about 1e15; mpmath's hyperu raises
+    # its own precision, so each rerun is one call at the fixed precision
     a = 3.8250058940562157 + 1.7450173638148656j
     b = -2.412477720916686 - 0.0820583540728057j
     z = 32.81391793872474 + 9.36216503301399j
     fv = kummer_u(a, b, z)
-    assert reruns == [46, 92]
-    # the derivative's reruns run at its first read
+    assert reruns == [specialfns._RERUN_DPS]
+    # the derivative's rerun runs at its first read
     derivative = fv.derivative
-    assert reruns == [46, 92, 47, 94]
+    assert reruns == [specialfns._RERUN_DPS] * 2
     assert_close(fv.value, complex(_MP40.hyperu(a, b, z)), U_ORACLE_REL_TOL)
     assert_close(derivative, complex(-a * _MP40.hyperu(a + 1, b + 1, z)),
                  U_ORACLE_REL_TOL)
@@ -814,7 +818,7 @@ def test_rerun_leaves_global_mpmath_precision_alone_under_threads(
 def test_rerun_no_convergence_is_typed(monkeypatch, no_second_routes):
     def refuse(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("refused")
-    ctx = specialfns._mp_ctx(30)  # this thread's rerun context
-    monkeypatch.setattr(ctx, "hyp1f1", refuse)
+    ctx = specialfns._mp_ctx()  # this thread's rerun context
+    monkeypatch.setattr(ctx, "hyperu", refuse)
     with pytest.raises(ConvergenceError):
         kummer_u(0.7, 0.3, 8.0)

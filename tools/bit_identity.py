@@ -26,14 +26,16 @@ float as `float.hex`, so signed zeros and last-bit changes show:
 * `specialfns`: 3000 seeded calls of each public special function
   (`hyp1f1`, `kummer_u`, `hyp2f1`, `hyp0f1`, Whittaker M and W, erf,
   erfi, `inc_gamma_upper`, `inc_beta`), drawn over regions where the
-  double path hands over to the mpmath rerun and the rerun raises its
-  precision: large |z| for U and W, 0.5 < |z| < 0.97 for 2F1, Re z < 0
-  for 1F1 and the incomplete gamma. Each line holds the value and the
-  derivative, or the error the call raised.
+  double path hands over to the mpmath rerun: large |z| for U and W,
+  0.5 < |z| < 0.97 for 2F1, Re z < 0 for 1F1 and the incomplete gamma.
+  Each line holds the value and the derivative, or the error the call
+  raised.
 
 Every line ends with `passes=N`: the mpmath rerun passes (calls of
-`specialfns._mp_ctx`) made while its output was computed. A `verify_basis`
-report's rows and aggregates all carry the passes of the whole report.
+`specialfns._mp_ctx`, counted with or without a precision argument, so
+that one tool dumps trees of either signature) made while its output was
+computed. A `verify_basis` report's rows and aggregates all carry the
+passes of the whole report.
 
 Draws, grids, points and windows come from `perfbench/` (imported, never
 written: no bytecode is cached). Two trees give identical outputs when
@@ -104,9 +106,9 @@ class Dumper:
         self.passes = 0  # rerun passes since the last line
         mp_ctx = H.specialfns._mp_ctx
 
-        def counting(dps):
+        def counting(*args):
             self.passes += 1
-            return mp_ctx(dps)
+            return mp_ctx(*args)
         H.specialfns._mp_ctx = counting
 
     def take(self) -> int:
