@@ -21,6 +21,7 @@ from heun_air import (
     GHEFamily,
     HeunAirError,
     ParamError,
+    PoleError,
     RemovablePointError,
     che_whittaker_params,
     eval_basis,
@@ -218,6 +219,38 @@ def test_ghe_domain_errors():
     with pytest.raises(DomainError):
         basis.y1(0.0)
     basis.y1(0.3)
+
+
+_BHE_OUT = [(0.0, DomainError), (-1.0, DomainError)]
+_CHE_OUT = [(-0.5, BranchError), (1.0, DomainError)]
+_GHE_OUT = [(0.5 + 0.1j, DomainError), (0.0, DomainError), (1.2, DomainError)]
+
+
+@pytest.mark.parametrize("solve, f, refusals", [
+    (solve_family, BHEFamily(-0.7, 0.2), _BHE_OUT + [(0.7, RemovablePointError)]),
+    (solve_family, BHEFamily(0.7, 0.7), _BHE_OUT),
+    (solve_family, BHEFamily(-0.6, 0.6), _BHE_OUT),
+    (solve_family, CHEFamily(0.9, 0.4, 0.2), _CHE_OUT),
+    (solve_family, CHEFamily(0.9, 0.4, 0.4), _CHE_OUT),
+    (solve_family, CHEFamily(0.6, -0.8, 0.8), _CHE_OUT),
+    (solve_family, GHEFamily(2.2, 0.6, 0.5, 0.2), _GHE_OUT),
+    (solve_family, GHEFamily(2.2, 0.6, 0.3, 0.3), _GHE_OUT),
+    (solve_family, GHEFamily(1.8, 0.5, -0.25, 0.25), _GHE_OUT),
+    # the reconstruction's c0 has poles at 0 (BHE, GHE) and 1 (CHE)
+    (solve_via_p_route, BHEFamily(-0.7, 0.2), [(0.0, PoleError), (-1.0, DomainError)]),
+    (solve_via_p_route, CHEFamily(0.9, 0.4, 0.2), [(-0.5, BranchError), (1.0, PoleError)]),
+    (solve_via_p_route, GHEFamily(2.2, 0.6, 0.5, 0.2),
+     [(0.5 + 0.1j, DomainError), (0.0, PoleError), (1.2, DomainError)]),
+], ids=["BHE-general", "BHE-plus", "BHE-minus", "CHE-general", "CHE-plus",
+        "CHE-minus", "GHE-general", "GHE-plus", "GHE-minus", "BHE-p-route",
+        "CHE-p-route", "GHE-p-route"])
+def test_every_member_refuses_out_of_domain_points(solve, f, refusals):
+    basis = solve(f)
+    for x, err in refusals:
+        for member in (basis.y1, basis.y2):
+            with pytest.raises(HeunAirError) as exc:
+                member(x)
+            assert exc.type is err, (x, exc.value)
 
 
 # ---------------------------------------------------------------------------
