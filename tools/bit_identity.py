@@ -15,7 +15,9 @@ float as `float.hex`, so signed zeros and last-bit changes show:
   for each of these bases, every row of `verify_basis` at the
   `heun-air verify` points and RK windows (check, member, x, value and
   status) and the report's status, row count and three aggregates (or
-  the error it raised);
+  the error it raised); for the general-branch draws among them, also
+  the basis of `solve_via_p_route`, its metadata and both members at the
+  same points (or the error it raised);
 * for every basis: `formula`, `classification`, `valid_domain`,
   `probe_point`, `family` and `derived`, the coefficients of
   `family_to_normal`, (y, y') of both members at every point (or the
@@ -136,8 +138,18 @@ class Dumper:
             self.line(tag, "normal", name,
                       "num", *(_hex(c) for c in r.num.coeffs),
                       "den", *(_hex(c) for c in r.den.coeffs))
+        b = self.solve(tag, H.solutions.solve_family, f, xs)
+        if b is not None:
+            csv = H.cli.render_csv(H.solutions.eval_basis(b, xs))
+            self.line(tag, "csv", _sha(csv))
+        return b
+
+    def solve(self, tag: str, solve, f, xs):
+        """Dump the metadata of solve(f) and both members at xs; returns
+        the basis, or None when `solve` refuses the family."""
+        H = self.H
         try:
-            b = H.solutions.solve_family(f)
+            b = solve(f)
         except H.errors.HeunAirError as exc:
             self.line(tag, "solve", _error(exc))
             return None
@@ -156,8 +168,6 @@ class Dumper:
                 except H.errors.HeunAirError as exc:
                     got = _error(exc)
                 self.line(tag, name, _hex(x), got)
-        csv = H.cli.render_csv(H.solutions.eval_basis(b, xs))
-        self.line(tag, "csv", _sha(csv))
         return b
 
     def report(self, tag: str, d, b) -> None:
@@ -210,9 +220,13 @@ class Dumper:
                  for i in range(VERIFY_DRAWS)]
         draws.append((f"verify:{seed}:alarm", self.bench.KNOWN_FALSE_ALARM))
         for tag, d in draws:
-            b = self.basis(tag, d, self.verify_points(d.kind))
+            xs = self.verify_points(d.kind)
+            b = self.basis(tag, d, xs)
             if b is not None:
                 self.report(tag, d, b)
+            if d.branch == self.bench.draws.GENERAL:
+                self.solve(f"{tag}:p", self.H.solutions.solve_via_p_route,
+                           self.family(d), xs)
 
     def cli_call(self, tag: str, tmp: str, argv, doc=None) -> None:
         if doc is not None:
