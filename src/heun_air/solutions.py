@@ -174,6 +174,19 @@ def make_basis(y1: Member, y2: Member, classification: str, family,
     raise last_err
 
 
+def _checked(check: Callable[[complex], None], *members: Member) -> tuple[Member, ...]:
+    """The members behind one domain check: each coerces x to complex and
+    runs check(x) before it evaluates, so a member that calls another
+    checks once."""
+    def wrap(member: Member) -> Member:
+        def y(x):
+            x = as_complex(x)
+            check(x)
+            return member(x)
+        return y
+    return tuple(wrap(m) for m in members)
+
+
 def is_liouvillian(sigma, tau) -> bool:
     """True on the solvable families' Liouvillian locus sigma = +-tau."""
     sigma, tau = as_complex(sigma), as_complex(tau)
@@ -200,7 +213,10 @@ def _check_bhe(x: complex) -> None:
 def solve_bhe(f: BHEFamily) -> SolutionBasis:
     """Basis for the two-parameter family's normal form y'' = q y.
 
-    Liouvillian members on sigma = +-tau; otherwise Kummer M/U members in
+    On sigma = s tau, s = +-1, one Liouvillian pair for both signs: with
+    G = x(x + 2 s tau)/2, y1 = e^(-sG) x^(-1/2) and
+    y2 = (sqrt(pi) e^(sG) - pi tau e^(-s tau^2) E(x + s tau) e^(-sG)) x^(-1/2),
+    E = erfi for s = 1 and erf for s = -1. Otherwise Kummer M/U members in
     w = (x+sigma)^2, refused at x = -sigma (RemovablePointError). That
     point is removable for y2 only: y1's U carries w^(1/2) = +-(x + sigma),
     so y1 continues across x = -Re sigma as a different solution and the
@@ -213,48 +229,30 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
     sigma, tau = f.sigma, f.tau
 
     if is_liouvillian(sigma, tau):
-        plus = abs(sigma - tau) <= abs(sigma + tau)
-        if plus:
-            # sigma = tau: G = x(x + 2 tau)/2
-            def y1(x):
-                x = as_complex(x)
-                _check_bhe(x)
-                g = (x * (x + 2 * tau) / 2, x + tau)
-                return pair_mul(pair_exp((-g[0], -g[1])), pair_pow(pair_var(x), -0.5))
+        # s tau and 2 s tau are negations, not products with s, and e^(+-G)
+        # is picked, not scaled by s, so that each sign keeps its bits
+        s = 1 if abs(sigma - tau) <= abs(sigma + tau) else -1
+        st, st2, kind = ((tau, 2 * tau, "erfi") if s > 0
+                         else (-tau, -(2 * tau), "erf"))
+        k = math.pi * tau * cmath.exp(-st * tau)
 
-            def y2(x):
-                x = as_complex(x)
-                _check_bhe(x)
-                g = (x * (x + 2 * tau) / 2, x + tau)
-                e = pair_fn(erf_like("erfi", x + tau))
-                t1 = pair_scale(SQRT_PI, pair_exp(g))
-                t2 = pair_scale(math.pi * tau * cmath.exp(-tau * tau),
-                                pair_mul(e, pair_exp((-g[0], -g[1]))))
-                return pair_mul(pair_sub(t1, t2), pair_pow(pair_var(x), -0.5))
+        def exp_g(x, sign) -> Pair:
+            """e^(sign G)."""
+            g = (x * (x + st2) / 2, x + st)
+            return pair_exp(g if sign > 0 else (-g[0], -g[1]))
 
-            formula = "bhe_liouvillian_erfi"
-        else:
-            # sigma = -tau: G = x(x - 2 tau)/2
-            def y1(x):
-                x = as_complex(x)
-                _check_bhe(x)
-                g = (x * (x - 2 * tau) / 2, x - tau)
-                return pair_mul(pair_exp(g), pair_pow(pair_var(x), -0.5))
+        def y1(x):
+            return pair_mul(exp_g(x, -s), pair_pow(pair_var(x), -0.5))
 
-            def y2(x):
-                x = as_complex(x)
-                _check_bhe(x)
-                g = (x * (x - 2 * tau) / 2, x - tau)
-                e = pair_fn(erf_like("erf", x - tau))
-                t1 = pair_scale(SQRT_PI, pair_exp((-g[0], -g[1])))
-                t2 = pair_scale(math.pi * tau * cmath.exp(tau * tau),
-                                pair_mul(e, pair_exp(g)))
-                return pair_mul(pair_sub(t1, t2), pair_pow(pair_var(x), -0.5))
+        def y2(x):
+            e = pair_fn(erf_like(kind, x + st))
+            t1 = pair_scale(SQRT_PI, exp_g(x, s))
+            t2 = pair_scale(k, pair_mul(e, exp_g(x, -s)))
+            return pair_mul(pair_sub(t1, t2), pair_pow(pair_var(x), -0.5))
 
-            formula = "bhe_liouvillian_erf"
         return make_basis(
-            y1, y2, CLASS_LIOUVILLIAN, f,
-            "x > 0", formula, {"branch": 1.0 if plus else -1.0},
+            *_checked(_check_bhe, y1, y2), CLASS_LIOUVILLIAN, f,
+            "x > 0", f"bhe_liouvillian_{kind}", {"branch": float(s)},
             _pick([0.8, 1.35, 0.55, 2.1], -sigma - tau, sigma + tau))
 
     big_a = (tau * tau - sigma * sigma) / 4
@@ -285,8 +283,6 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
     #   w M'(A) = (b - A) M(A-1) + (A - b + w) M(A),
     #   w M'(A-1) = (A-1) (M(A) - M(A-1)).
     def y1(x):
-        x = as_complex(x)
-        _check_general(x)
         w = (x + sigma) ** 2
         chain = 2 * (x + sigma)
         f1, f0 = kummer_u(big_a, 0.5, w), kummer_u(a0, 0.5, w)
@@ -297,8 +293,6 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
         return pair_mul(prefactor(x), comb)
 
     def y2(x):
-        x = as_complex(x)
-        _check_general(x)
         w = (x + sigma) ** 2
         chain = 2 * (x + sigma)
         f1, f0 = hyp1f1(big_a, 0.5, w), hyp1f1(a0, 0.5, w)
@@ -311,7 +305,7 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
         return pair_mul(prefactor(x), comb)
 
     return make_basis(
-        y1, y2, CLASS_HYPERGEOMETRIC, f,
+        *_checked(_check_general, y1, y2), CLASS_HYPERGEOMETRIC, f,
         "x > 0, x != -sigma", "bhe_kummer", {"A": big_a},
         _pick([0.8, 1.35, 0.55, 1.9, 2.4], -sigma))
 
@@ -355,15 +349,11 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
         u = 2 * (tau - 1) * lam
 
         def y1(x):
-            x = as_complex(x)
-            _check_che(x)
             return pair_mul(pair_pow(pair_var(x), expo),
                             pair_exp((-lam * x, -lam)),
                             pair_pow((x - 1, 1.0 + 0j), -0.5))
 
         def y2(x):
-            x = as_complex(x)
-            _check_che(x)
             base = y1(x)
             g1 = pair_fn(inc_gamma_upper(u + 1, -2 * lam * x), -2 * lam)
             g0 = pair_fn(inc_gamma_upper(u, -2 * lam * x), -2 * lam)
@@ -371,8 +361,8 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
             return pair_mul(base, s)
 
         return make_basis(
-            y1, y2, CLASS_LIOUVILLIAN, f, "x in (0,1) or x > 1",
-            "che_liouvillian_gamma_plus", {"u": u},
+            *_checked(_check_che, y1, y2), CLASS_LIOUVILLIAN, f,
+            "x in (0,1) or x > 1", "che_liouvillian_gamma_plus", {"u": u},
             [1.6, 0.45, 2.2, 0.7, 1.3])
 
     mu, nu = che_whittaker_params(f)
@@ -384,8 +374,6 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
     #   z W'_k = (k - z/2) W_k + (1/2 - k + nu)(1/2 - k - nu) W_(k-1),
     #   z W'_(k-1) = (1 - k + z/2) W_(k-1) - W_k.
     def y1(x):
-        x = as_complex(x)
-        _check_che(x)
         chain = 2 * lam
         z = 2 * lam * x
         f1, f0 = whittaker("M", mu, nu, z), whittaker("M", mu - 1, nu, z)
@@ -399,8 +387,6 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
         return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
 
     def y2(x):
-        x = as_complex(x)
-        _check_che(x)
         chain = 2 * lam
         z = 2 * lam * x
         f1, f0 = whittaker("W", mu, nu, z), whittaker("W", mu - 1, nu, z)
@@ -413,8 +399,8 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
         return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
 
     return make_basis(
-        y1, y2, CLASS_HYPERGEOMETRIC, f, "x in (0,1) or x > 1",
-        "che_whittaker", {"mu": mu, "nu": nu},
+        *_checked(_check_che, y1, y2), CLASS_HYPERGEOMETRIC, f,
+        "x in (0,1) or x > 1", "che_whittaker", {"mu": mu, "nu": nu},
         [1.6, 0.45, 2.2, 0.7, 1.3])
 
 
@@ -463,8 +449,10 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
     """Basis for the four-parameter family on x in (0, 1).
 
     Liouvillian members on sigma = +-tau use incomplete beta integrals; the
-    general branch uses Gauss 2F1 members with lower parameters 1 -+ 2T,
-    refused (ParamError) when those degenerate to nonpositive integers."""
+    general branch uses Gauss 2F1 members at the exponents -+T of x = 0,
+    one formula at an exponent u with y1 = -member(-T) and y2 = member(T),
+    whose lower parameters 1 + 2u are refused (ParamError) when they
+    degenerate to nonpositive integers."""
     a, d, sigma, tau = f.a, f.delta, f.sigma, f.tau
     big_sigma, big_t = ghe_exponents(f)
 
@@ -479,15 +467,11 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
         beta = 2 * ((1 - a) * d + tau)
 
         def y1(x):
-            x = as_complex(x)
-            _check_ghe(x)
             return pair_mul(pair_pow(pair_var(x), p_exp),
                             pair_pow((x - 1, 1.0 + 0j), q_exp),
                             pair_pow((a - x, -1.0 + 0j), -0.5))
 
         def y2(x):
-            x = as_complex(x)
-            _check_ghe(x)
             base = y1(x)
             b1 = pair_fn(inc_beta(x, alpha, beta))
             b0 = pair_fn(inc_beta(x, alpha - 1, beta))
@@ -495,7 +479,7 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
             return pair_mul(base, s)
 
         return make_basis(
-            y1, y2, CLASS_LIOUVILLIAN, f, "0 < x < 1",
+            *_checked(_check_ghe, y1, y2), CLASS_LIOUVILLIAN, f, "0 < x < 1",
             "ghe_liouvillian_beta_plus", {"Sigma": big_sigma, "T": big_t},
             [0.45, 0.6, 0.3, 0.75])
 
@@ -506,40 +490,33 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
         return pair_mul(pair_pow((x - 1, 1.0 + 0j), S + 0.5),
                         pair_pow((x - a, 1.0 + 0j), -0.5))
 
-    def y1(x):
-        x = as_complex(x)
-        _check_ghe(x)
-        fa, fb = _gauss_pairs(
-            hyp2f1(S + D - T + 1, S - D - T + 2, 2 - 2 * T, x),
-            hyp2f1(S + D - T, S - D + 1 - T, 1 - 2 * T, x),
-            S + D - T, S - D + 1 - T, 1 - 2 * T, x)
-        k1 = (T - S - D) * (T - S + D - 1) / 2
-        t1 = pair_mul(pair_scale(k1, pair_sub(pair_pow(pair_var(x), 2.5 - T),
-                                              pair_pow(pair_var(x), 1.5 - T))), fa)
-        inner = pair_add(pair_scale(a * D - T + tau, pair_pow(pair_var(x), 0.5 - T)),
-                         pair_scale(T - S - D, pair_pow(pair_var(x), 1.5 - T)))
-        t2 = pair_mul(pair_scale(T - 0.5, inner), fb)
+    def member(u, k, x) -> Pair:
+        """y2 at the exponent u = T, -y1 at u = -T. k = (u + S + D)(S - D
+        + 1 + u)/2 is passed in as each member writes it: one expression
+        for both rounds differently for one of them."""
+        al, be, ga = S + D + u, S - D + 1 + u, 1 + 2 * u
+        fc, fd = _gauss_pairs(hyp2f1(al + 1, S - D + u + 2, 2 + 2 * u, x),
+                              hyp2f1(al, be, ga, x), al, be, ga, x)
+        x15 = pair_pow(pair_var(x), 1.5 + u)
+        t1 = pair_mul(pair_scale(k, pair_sub(x15, pair_pow(pair_var(x), 2.5 + u))), fc)
+        inner = pair_sub(pair_scale(a * D + u + tau, pair_pow(pair_var(x), 0.5 + u)),
+                         pair_scale(u + S + D, x15))
+        t2 = pair_mul(pair_scale(u + 0.5, inner), fd)
         return pair_mul(prefactor(x), pair_add(t1, t2))
+
+    k1 = (T - S - D) * (T - S + D - 1) / 2
+    k2 = (T + S + D) * (S - D + 1 + T) / 2
+
+    def y1(x):
+        # 0j - v, unlike -v, keeps exactly zero parts +0
+        return tuple(0j - v for v in member(-T, k1, x))
 
     def y2(x):
-        x = as_complex(x)
-        _check_ghe(x)
-        fc, fd = _gauss_pairs(
-            hyp2f1(S + D + T + 1, S - D + T + 2, 2 + 2 * T, x),
-            hyp2f1(S + D + T, S - D + 1 + T, 1 + 2 * T, x),
-            S + D + T, S - D + 1 + T, 1 + 2 * T, x)
-        k2 = (T + S + D) * (S - D + 1 + T) / 2
-        t1 = pair_mul(pair_scale(k2, pair_sub(pair_pow(pair_var(x), 1.5 + T),
-                                              pair_pow(pair_var(x), 2.5 + T))), fc)
-        inner = pair_sub(pair_scale(a * D + T + tau, pair_pow(pair_var(x), 0.5 + T)),
-                         pair_scale(T + S + D, pair_pow(pair_var(x), 1.5 + T)))
-        t2 = pair_mul(pair_scale(T + 0.5, inner), fd)
-        return pair_mul(prefactor(x), pair_add(t1, t2))
+        return member(T, k2, x)
 
     return make_basis(
-        y1, y2, CLASS_HYPERGEOMETRIC, f, "0 < x < 1", "ghe_gauss",
-        {"Sigma": big_sigma, "T": big_t},
-        [0.45, 0.6, 0.3, 0.75])
+        *_checked(_check_ghe, y1, y2), CLASS_HYPERGEOMETRIC, f, "0 < x < 1",
+        "ghe_gauss", {"Sigma": big_sigma, "T": big_t}, [0.45, 0.6, 0.3, 0.75])
 
 
 def solve_family(f: Family) -> SolutionBasis:
@@ -600,8 +577,6 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
 
         def p_member(fn):
             def p(x):
-                x = as_complex(x)
-                _check_bhe(x)
                 w = (x + s) ** 2
                 chain = 2 * (x + s)
                 return pair_mul(pair_var(x),
@@ -609,7 +584,7 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
                                 pair_fn(fn(big_a, 0.5, w), chain))
             return p
 
-        p1, p2 = p_member(hyp1f1), p_member(kummer_u)
+        p1, p2 = _checked(_check_bhe, p_member(hyp1f1), p_member(kummer_u))
 
         def gauge(x) -> complex:
             return principal_power(x, -0.5) * cmath.exp(x * x / 2 - t * x)
@@ -624,15 +599,13 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
 
         def p_member(kind):
             def p(x):
-                x = as_complex(x)
-                _check_che(x)
                 return pair_mul((x - 1, 1.0 + 0j),
                                 pair_pow(pair_var(x), (t + 1) * lam - 1.5),
                                 pair_exp((-lam * x, -lam)),
                                 pair_fn(whittaker(kind, mu, nu, 2 * lam * x), 2 * lam))
             return p
 
-        p1, p2 = p_member("M"), p_member("W")
+        p1, p2 = _checked(_check_che, p_member("M"), p_member("W"))
 
         def gauge(x) -> complex:
             return (cmath.exp(lam * x) * principal_power(x, 0.5 - lam * (1 + t))
@@ -651,8 +624,6 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
 
         def p_member(sign: float):
             def p(x):
-                x = as_complex(x)
-                _check_ghe(x)
                 ft = pair_fn(hyp2f1(S + d + sign * T, S - d + 1 + sign * T,
                                     1 + sign * 2 * T, x))
                 return pair_mul((x - a, 1.0 + 0j),
@@ -661,7 +632,7 @@ def solve_via_p_route(f: Family) -> SolutionBasis:
                                 ft)
             return p
 
-        p1, p2 = p_member(-1.0), p_member(1.0)
+        p1, p2 = _checked(_check_ghe, p_member(-1.0), p_member(1.0))
 
         def gauge(x) -> complex:
             return (principal_power(x, a * d + t + 0.5)
