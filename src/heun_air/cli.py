@@ -62,27 +62,33 @@ _VERIFY_WINDOWS = {
     "CHE": [(0.2, 0.8), (1.2, 3.0)],
     "GHE": [(0.15, 0.85)],
 }
-#: Distance kept by the default BHE general-branch points and RK window
-#: from the members' removable point x = -sigma.
-_REMOVABLE_MARGIN = 0.12
+#: Distance kept by the default points and RK windows from a point that
+#: the members refuse inside them: BHE's x = -sigma and GHE's x = a.
+_CUT_MARGIN = 0.12
 
 
 def _verify_plan(fam: Family, basis: SolutionBasis):
     """The default verification points, RK windows and Wronskian breaks
-    (see verify.verify_basis) of a basis. The BHE general-branch members
-    refuse x = -sigma and continue across x = -Re sigma as other solutions,
-    so the points within _REMOVABLE_MARGIN of it are dropped, the RK
-    windows are cut there and the Wronskian is checked on each side."""
+    (see verify.verify_basis) of a basis. The points within _CUT_MARGIN of
+    a point c that the members refuse are dropped and the RK windows are
+    cut there: for the BHE general branch c = -Re sigma, where the members
+    refuse x = -sigma and continue as other solutions, so the Wronskian is
+    checked on each side; for GHE a real a in (0, 1), the family's singular
+    point, across which W is one constant, so no break."""
     pts, windows = list(_VERIFY_POINTS[fam.kind]), _VERIFY_WINDOWS[fam.kind]
-    if fam.kind != "BHE" or basis.classification != CLASS_HYPERGEOMETRIC:
+    if fam.kind == "BHE" and basis.classification == CLASS_HYPERGEOMETRIC:
+        c, breaks = -fam.sigma.real, (-fam.sigma.real,)
+    elif fam.kind == "GHE" and fam.a.imag == 0 and 0 < fam.a.real < 1:
+        c, breaks = fam.a.real, ()
+    else:
         return pts, windows, ()
-    c, m = -fam.sigma.real, _REMOVABLE_MARGIN
+    m = _CUT_MARGIN
     pts = [x for x in pts if abs(x - c) > m]
     windows = [piece for lo, hi in windows
                for piece in (((lo, hi),) if hi <= c - m or lo >= c + m
                              else ((lo, c - m), (c + m, hi)))
                if piece[0] < piece[1]]
-    return pts, windows, (c,)
+    return pts, windows, breaks
 
 
 @dataclass
@@ -330,9 +336,7 @@ def _cmd_convert(job: JobSpec) -> tuple[str, int]:
             "canonical": [_params_dict(c) for c in family_to_canonical(p)],
         }
         return _dump(out), 0
-    cands = _candidates(job)
-    return _dump({"candidates": [_family_dict(f) for f in cands],
-                  "count": len(cands)}), 0
+    return _cmd_detect(job)
 
 
 def _cmd_eval(job: JobSpec) -> tuple[str, int]:

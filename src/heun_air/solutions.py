@@ -491,9 +491,9 @@ def solve_ghe(f: GHEFamily) -> SolutionBasis:
                         pair_pow((x - a, 1.0 + 0j), -0.5))
 
     def member(u, k, x) -> Pair:
-        """y2 at the exponent u = T, -y1 at u = -T. k = (u + S + D)(S - D
-        + 1 + u)/2 is passed in as each member writes it: one expression
-        for both rounds differently for one of them."""
+        """y2 at the exponent u = T, -y1 at u = -T. k, which is
+        (u + S + D)(S - D + 1 + u)/2, is passed in as each member writes
+        it: one expression for both rounds differently for one of them."""
         al, be, ga = S + D + u, S - D + 1 + u, 1 + 2 * u
         fc, fd = _gauss_pairs(hyp2f1(al + 1, S - D + u + 2, 2 + 2 * u, x),
                               hyp2f1(al, be, ga, x), al, be, ga, x)

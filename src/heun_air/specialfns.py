@@ -48,8 +48,9 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
 So a call that the kernel answers is unchanged by the second routes, and
 only a value that the kernel would have handed to the rerun can come from
 a second route instead: it then differs from the rerun's value in the last
-digits, by at most ~1e-13 relative (tests/test_accuracy.py). A second
-route that raises a typed error or overflows declines.
+digits, by at most ~1e-13 relative (tests/test_accuracy.py). A kernel or
+second route that overflows or raises a typed error declines, except for a
+kernel's ConvergenceError (the term cap); a rerun beyond the doubles raises.
 
 mpmath's functions raise their own working precision while a sum cancels
 (F. Johansson et al., mpmath, https://mpmath.org), so a rerun is one pass
@@ -61,9 +62,10 @@ answers, tests/test_accuracy.py compares mpmath with itself at 40 digits:
 there it checks the working precision, not the algorithm.
 
 A derivative that is a second series runs through _guarded at its first
-read, under the term cap that its call read; its errors (ConvergenceError,
-NonFiniteError, ...) are raised by that read, and by every later one, not
-by the call.
+read, under the term cap that its call read, and Gamma(a, z)'s and B_x's
+closed forms are formed there; its errors (ConvergenceError, NonFiniteError
+also for an overflow, ...) are raised by that read, and by every later one,
+not by the call, so a value that fits a double stays readable.
 
 The double path keeps two bounded LRU memos, since one point of a basis
 repeats work: the members of a BHE or CHE basis sum two identical 1F1
@@ -154,7 +156,8 @@ class FnValue:
     functions whose derivative is a second series pass that series as the
     thunk, so a caller that never reads it never sums it. The thunk keeps
     the term cap its call read, and an error in it (ConvergenceError,
-    NonFiniteError, ...) is raised by the read, at every read."""
+    NonFiniteError, also where the thunk overflows) is raised by the read,
+    at every read."""
 
     __slots__ = ("value", "_derivative", "_thunk")
 
@@ -166,8 +169,13 @@ class FnValue:
     @property
     def derivative(self):
         if self._thunk is not None:
-            self._derivative = self._thunk()
-            self._thunk = None
+            try:
+                d = self._thunk()
+            except OverflowError:
+                d = math.inf
+            if not cmath.isfinite(d):
+                raise NonFiniteError("derivative overflows double precision")
+            self._derivative, self._thunk = d, None
         return self._derivative
 
     def __eq__(self, other):
@@ -244,7 +252,8 @@ def gamma(z) -> complex:
     sin(pi z) overflows (|Im z| >~ 225). In the reflection, Gamma(1 - z) is
     taken in log form where the Lanczos intermediate overflows although
     Gamma(1 - z) does not (Re z <~ -140); where Gamma(1 - z) overflows
-    too, |Gamma(z)| is below the normal doubles and is refused."""
+    too, or its product with sin(pi z) does, |Gamma(z)| is below the normal
+    doubles and is refused (NonFiniteError)."""
     z = as_complex(z)
     if near_nonpositive_integer(z):
         # sin(pi z) in the reflection below is never exactly zero in floating
@@ -258,9 +267,11 @@ def gamma(z) -> complex:
                 try:
                     inner = cmath.exp(_log_gamma(1.0 - z))
                 except OverflowError:  # so did gamma(1 - z): gamma(z) is tiny
-                    raise NonFiniteError(
-                        f"gamma({z!r}) underflows double precision") from None
-            return cmath.pi / (cmath.sin(cmath.pi * z) * inner)
+                    inner = math.inf
+            d = cmath.sin(cmath.pi * z) * inner
+            if not cmath.isfinite(d):  # |gamma(z)| = pi/|d| is tiny
+                raise NonFiniteError(f"gamma({z!r}) underflows double precision")
+            return cmath.pi / d
         zz = z - 1.0
         t, acc = _lanczos(zz)
         return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
@@ -281,16 +292,21 @@ def rgamma(z) -> complex:
             if z == n:
                 return 0j
             sign = -1 if n % 2 else 1
-            return sign * cmath.sin(cmath.pi * (z - n)) * gamma(1.0 - z) / cmath.pi
-        if z.real < 0.5:
-            return cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
-        return 1.0 / gamma(z)
-    # gamma overflows or underflows where 1/gamma may still be in range
+            r = sign * cmath.sin(cmath.pi * (z - n)) * gamma(1.0 - z) / cmath.pi
+        elif z.real < 0.5:
+            r = cmath.sin(cmath.pi * z) * gamma(1.0 - z) / cmath.pi
+        else:
+            r = 1.0 / gamma(z)
+        if cmath.isfinite(r):
+            return r
+    # gamma, or the product with it, overflows or underflows where 1/gamma
+    # may still be in range
     except (OverflowError, NonFiniteError, ZeroDivisionError):
-        try:
-            return cmath.exp(-_log_gamma(z))
-        except OverflowError:
-            raise NonFiniteError(f"rgamma({z!r}) overflows in double precision") from None
+        pass
+    try:
+        return cmath.exp(-_log_gamma(z))
+    except OverflowError:
+        raise NonFiniteError(f"rgamma({z!r}) overflows in double precision") from None
 
 
 def principal_power(z, w) -> complex:
@@ -339,12 +355,18 @@ def _export_cancel(peak, mag_final) -> float:
 
 def _guarded(kernel, second, rerun, cap, *args) -> complex:
     """Run a double-precision kernel under the term cap `cap`. When its
-    cancellation estimate says double precision was insufficient, try the
-    second double-precision route `second` (None for none), and when that
-    declines or its own estimate exceeds CANCEL_LIMIT too, return
+    cancellation estimate says double precision was insufficient, or it
+    declines (a typed error other than ConvergenceError, or an overflow),
+    try the second double-precision route `second` (None for none), and
+    when that declines or its own estimate exceeds CANCEL_LIMIT too, return
     rerun(m, *args): one call of mpmath's own function on this thread's
-    private context m."""
-    value, cancel = kernel(cap, *args)
+    private context m, NonFiniteError beyond the doubles' range."""
+    try:
+        value, cancel = kernel(cap, *args)
+    except ConvergenceError:
+        raise  # the term cap was reached: HEUN_AIR_MAX_TERMS bounds the work
+    except (HeunAirError, ArithmeticError):
+        value, cancel = _DECLINE  # as in the second route: decline
     if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
     if second is not None:
@@ -362,10 +384,10 @@ def _guarded(kernel, second, rerun, cap, *args) -> complex:
         raise ConvergenceError(f"extended-precision evaluation: {e}") from None
     if not m.isfinite(v):
         raise ConvergenceError("extended-precision evaluation is not finite")
-    try:
-        return complex(v)
-    except OverflowError:
+    v = complex(v)  # +-inf beyond the doubles' range
+    if not cmath.isfinite(v):
         raise NonFiniteError("function value overflows double precision")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +859,7 @@ def inc_gamma_upper(a, z) -> FnValue:
             raise ParamError(
                 f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
     value = _guarded(_k_igam_upper, _k2_igam_upper, _mp_igam_upper, max_terms(), a, z)
-    deriv = -principal_power(z, a - 1) * cmath.exp(-z)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: -principal_power(z, a - 1) * cmath.exp(-z))
 
 
 def inc_beta(x, a, b) -> FnValue:
@@ -857,5 +878,5 @@ def inc_beta(x, a, b) -> FnValue:
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
     value = _guarded(_k_inc_beta, _k2_inc_beta, _mp_inc_beta, max_terms(), x, a, b)
-    deriv = principal_power(x, a - 1) * principal_power(1 - x, b - 1)
-    return FnValue(value, deriv)
+    return FnValue(value, thunk=lambda: (principal_power(x, a - 1)
+                                        * principal_power(1 - x, b - 1)))

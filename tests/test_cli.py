@@ -354,6 +354,36 @@ def test_verify_bhe_plan_away_from_its_removable_point():
     assert split.rows == whole.rows
 
 
+@pytest.mark.parametrize("a, delta, sigma, tau", [
+    (0.5, 0.5, 0.1, 0.4), (0.3, -0.8, 0.6, 0.2), (0.7, 1.2, -0.4, 0.9),
+    (0.5, 0.5, 0.3, 0.3)])
+def test_verify_ghe_around_its_singular_point_a(tmp_path, capsys, a, delta,
+                                                sigma, tau):
+    # x = a inside (0, 1) is refused by the members; at a = 0.5 it is a
+    # default point and the RK window's midpoint. W is one constant across
+    # it, so the plan drops the points near a and cuts the window, with no
+    # break
+    doc = {"form": "ghe_family", "a": a, "delta": delta, "sigma": sigma,
+           "tau": tau}
+    code, out, _ = _run(capsys, ["verify", "--spec", _spec(tmp_path, doc)])
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+    fam = GHEFamily(a, delta, sigma, tau)
+    basis = solve_family(fam)
+    pts, windows, breaks = _verify_plan(fam, basis)
+    assert all(abs(x - a) > 0.12 for x in pts) and breaks == ()
+    assert all(hi <= a - 0.12 or lo >= a + 0.12 for lo, hi in windows)
+
+    def off(x):  # (1 + 1e-3 x) y1 solves no equation of the family
+        v, dv = basis.y1(x)
+        g = 1 + 1e-3 * x
+        return v * g, dv * g + 1e-3 * v
+    rep = verify_basis(family_to_normal(fam), replace(basis, y1=off), pts,
+                       rk_window=windows)
+    assert rep.status == "fail"
+
+
 def test_paper_suite_runs_clean(tmp_path, capsys):
     code, out, _ = _run(capsys, ["paper-suite"])
     assert code == 0

@@ -19,6 +19,7 @@ from heun_air import (
     BranchError,
     ConvergenceError,
     DomainError,
+    HeunAirError,
     NonFiniteError,
     ParamError,
     PoleError,
@@ -822,3 +823,89 @@ def test_rerun_no_convergence_is_typed(monkeypatch, no_second_routes):
     monkeypatch.setattr(ctx, "hyperu", refuse)
     with pytest.raises(ConvergenceError):
         kummer_u(0.7, 0.3, 8.0)
+
+
+# ---------------------------------------------------------------------------
+# overflow: a finite value or a typed error, never inf, NaN or OverflowError
+# ---------------------------------------------------------------------------
+
+def test_overflow_pinned_inputs():
+    # U is about 2.5e406: the rerun's value converts to inf
+    with pytest.raises(NonFiniteError):
+        kummer_u(-1.8187179721106017, 140.1099558146792, 0.06014357485415209)
+    # 2F1 is about -3.2e439: the kernel overflows, then the rerun's value
+    with pytest.raises(NonFiniteError):
+        hyp2f1(-0.2753311340423412, 2.1546568948717493, -247.38082640294934,
+               0.9827404217965048)
+    # B_x = -3.082e305 fits in a double, its derivative x^(a-1) ~ 3e310 not:
+    # the value stays readable and the derivative's read is refused
+    fv = inc_beta(0.001, -102.5, 2.0)
+    assert rel_err(fv.value, complex(_MP40.betainc(-102.5, 2.0, 0, 0.001))) <= 1e-12
+    with pytest.raises(NonFiniteError):
+        fv.derivative
+    # |gamma| ~ 5e-363 and |1/gamma| ~ 2e384 lie outside the doubles, and
+    # the reflection's product sin(pi z) gamma(1 - z) overflows
+    with pytest.raises(NonFiniteError):
+        gamma(-117.02251304264408 - 150.17891846101762j)
+    with pytest.raises(NonFiniteError):
+        rgamma(-102.83289138936061 + 209.7571317576713j)
+
+
+def _as_fn(f):
+    """A complex-valued function as an FnValue-valued one."""
+    return lambda *args: specialfns.FnValue(f(*args), 0j)
+
+
+# (name, function, draw(u, lu)): u is uniform, lu log-uniform on [lo, hi]
+_OVERFLOW_REGIONS = [
+    ("kummer_u-large-b", kummer_u,
+     lambda u, lu: (u(-4, 4), u(50.5, 300.5), lu(1e-4, 0.1))),
+    ("kummer_u-wide", kummer_u,
+     lambda u, lu: (u(-20, 20), u(-59.5, 60.5), lu(1e-4, 700))),
+    ("hyp2f1-negative-c", hyp2f1,
+     lambda u, lu: (u(-4, 4), u(-4, 4), u(-299.5, -19.5), u(0.6, 0.99))),
+    ("inc_gamma_upper-negative-a", inc_gamma_upper,
+     lambda u, lu: (u(-299.5, -19.5), lu(1e-4, 0.5))),
+    ("inc_gamma_upper-left-plane", inc_gamma_upper,
+     lambda u, lu: (u(19.5, 299.5), complex(-lu(1e-4, 700), u(-1, 1)))),
+    ("inc_beta-negative-a", inc_beta,
+     lambda u, lu: (lu(1e-6, 0.5), u(-299.5, -19.5), u(-4, 4))),
+    ("hyp1f1-wide", hyp1f1,
+     lambda u, lu: (u(-300, 300), u(-299.5, 300.5),
+                    complex(u(-700, 700), u(-50, 50)))),
+    ("hyp0f1-wide", hyp0f1,
+     lambda u, lu: (u(-299.5, 300.5), complex(u(-3000, 3000), u(-100, 100)))),
+    ("whittaker-M", lambda *a: whittaker("M", *a),
+     lambda u, lu: (u(-50, 50), u(-50, 50), lu(1e-4, 700))),
+    ("whittaker-W-large-nu", lambda *a: whittaker("W", *a),
+     lambda u, lu: (u(-50, 50), u(25.3, 150.3), lu(1e-4, 0.1))),
+    ("erf", lambda z: erf_like("erf", z),
+     lambda u, lu: (complex(u(-12, 12), u(-12, 12)),)),
+    ("erfi", lambda z: erf_like("erfi", z),
+     lambda u, lu: (complex(u(-12, 12), u(-12, 12)),)),
+    ("gamma", _as_fn(gamma),
+     lambda u, lu: (complex(u(-300, 300), u(-300, 300)),)),
+    ("rgamma", _as_fn(rgamma),
+     lambda u, lu: (complex(u(-300, 300), u(-300, 300)),)),
+]
+
+
+@pytest.mark.parametrize("fn, draw", [r[1:] for r in _OVERFLOW_REGIONS],
+                         ids=[r[0] for r in _OVERFLOW_REGIONS])
+def test_overflow_prone_regions_are_finite_or_typed(request, fn, draw):
+    r = rng(f"overflow:{request.node.callspec.id}")
+
+    def lu(lo, hi):
+        return math.exp(r.uniform(math.log(lo), math.log(hi)))
+    for _ in range(200):
+        args = draw(r.uniform, lu)
+        try:
+            fv = fn(*args)
+        except HeunAirError:
+            continue
+        for read in ("value", "derivative"):
+            try:
+                v = getattr(fv, read)
+            except HeunAirError:
+                continue
+            assert cmath.isfinite(v), (args, read, v)
