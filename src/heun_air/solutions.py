@@ -236,18 +236,20 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
                          else (-tau, -(2 * tau), "erf"))
         k = math.pi * tau * cmath.exp(-st * tau)
 
-        def exp_g(x, sign) -> Pair:
-            """e^(sign G)."""
+        def exponents(x) -> tuple[Pair, Pair]:
+            """The pairs sG and -sG."""
             g = (x * (x + st2) / 2, x + st)
-            return pair_exp(g if sign > 0 else (-g[0], -g[1]))
+            neg = (-g[0], -g[1])
+            return (g, neg) if s > 0 else (neg, g)
 
         def y1(x):
-            return pair_mul(exp_g(x, -s), pair_pow(pair_var(x), -0.5))
+            return pair_mul(pair_exp(exponents(x)[1]), pair_pow(pair_var(x), -0.5))
 
         def y2(x):
+            sg, neg_sg = exponents(x)
             e = pair_fn(erf_like(kind, x + st))
-            t1 = pair_scale(SQRT_PI, exp_g(x, s))
-            t2 = pair_scale(k, pair_mul(e, exp_g(x, -s)))
+            t1 = pair_scale(SQRT_PI, pair_exp(sg))
+            t2 = pair_scale(k, pair_mul(e, pair_exp(neg_sg)))
             return pair_mul(pair_sub(t1, t2), pair_pow(pair_var(x), -0.5))
 
         return make_basis(

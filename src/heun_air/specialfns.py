@@ -48,9 +48,11 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
 So a call that the kernel answers is unchanged by the second routes, and
 only a value that the kernel would have handed to the rerun can come from
 a second route instead: it then differs from the rerun's value in the last
-digits, by at most ~1e-13 relative (tests/test_accuracy.py). A kernel or
-second route that overflows or raises a typed error declines, except for a
-kernel's ConvergenceError (the term cap); a rerun beyond the doubles raises.
+digits, by at most ~1e-13 relative (tests/test_accuracy.py). A second
+route that overflows or raises a typed error declines; a kernel declines
+only where it overflows, and its typed errors (a refused input, the term
+cap) propagate. A rerun value beyond the doubles, above or below, raises
+NonFiniteError.
 
 mpmath's functions raise their own working precision while a sum cancels
 (F. Johansson et al., mpmath, https://mpmath.org), so a rerun is one pass
@@ -356,17 +358,16 @@ def _export_cancel(peak, mag_final) -> float:
 def _guarded(kernel, second, rerun, cap, *args) -> complex:
     """Run a double-precision kernel under the term cap `cap`. When its
     cancellation estimate says double precision was insufficient, or it
-    declines (a typed error other than ConvergenceError, or an overflow),
-    try the second double-precision route `second` (None for none), and
-    when that declines or its own estimate exceeds CANCEL_LIMIT too, return
+    overflows (an ArithmeticError; its typed errors propagate), try the
+    second double-precision route `second` (None for none), and when that
+    declines or its own estimate exceeds CANCEL_LIMIT too, return
     rerun(m, *args): one call of mpmath's own function on this thread's
-    private context m, NonFiniteError beyond the doubles' range."""
+    private context m, NonFiniteError where its value overflows a double or
+    underflows to 0."""
     try:
         value, cancel = kernel(cap, *args)
-    except ConvergenceError:
-        raise  # the term cap was reached: HEUN_AIR_MAX_TERMS bounds the work
-    except (HeunAirError, ArithmeticError):
-        value, cancel = _DECLINE  # as in the second route: decline
+    except ArithmeticError:
+        value, cancel = _DECLINE  # an overflow inside the kernel: decline
     if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
     if second is not None:
@@ -384,10 +385,10 @@ def _guarded(kernel, second, rerun, cap, *args) -> complex:
         raise ConvergenceError(f"extended-precision evaluation: {e}") from None
     if not m.isfinite(v):
         raise ConvergenceError("extended-precision evaluation is not finite")
-    v = complex(v)  # +-inf beyond the doubles' range
-    if not cmath.isfinite(v):
-        raise NonFiniteError("function value overflows double precision")
-    return v
+    c = complex(v)  # +-inf or 0 beyond the doubles' range, without raising
+    if not cmath.isfinite(c) or (c == 0 and v != 0):
+        raise NonFiniteError("function value lies beyond the doubles' range")
+    return c
 
 
 # ---------------------------------------------------------------------------

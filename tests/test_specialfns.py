@@ -851,6 +851,26 @@ def test_overflow_pinned_inputs():
         rgamma(-102.83289138936061 + 209.7571317576713j)
 
 
+def test_kernel_refusals_propagate():
+    # a kernel declines only where it overflows: its typed refusals reach
+    # the caller, not the rerun. B_0(a, b) = 0^a/a 2F1 diverges for Re a <= 0
+    # (mpmath's betainc(a, b, 0, 0) would return 0), and Gamma(148.2) in U's
+    # connection formula overflows where U itself is below the doubles
+    with pytest.raises(DomainError):
+        inc_beta(0, -0.5, 1.0)
+    with pytest.raises(NonFiniteError):
+        kummer_u(151.53014018825894, -147.17574740558703, 194.9055963690835)
+
+
+def test_rerun_underflow_is_refused(monkeypatch, no_second_routes):
+    ctx = specialfns._mp_ctx()  # this thread's rerun context
+    monkeypatch.setattr(ctx, "hyperu", lambda *args, **kwargs: ctx.mpf("1e-400"))
+    with pytest.raises(NonFiniteError):
+        kummer_u(0.7, 0.3, 8.0)
+    monkeypatch.setattr(ctx, "hyperu", lambda *args, **kwargs: ctx.mpf(0))
+    assert kummer_u(0.7, 0.3, 8.0).value == 0  # an exact zero is a value
+
+
 def _as_fn(f):
     """A complex-valued function as an FnValue-valued one."""
     return lambda *args: specialfns.FnValue(f(*args), 0j)
