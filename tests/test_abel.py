@@ -9,7 +9,7 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import fd_derivative, rng
+from conftest import draw_family, fd_derivative, rng
 from heun_air import (
     AIRParams,
     BHEFamily,
@@ -34,6 +34,7 @@ from heun_air import (
     to_normal_form,
 )
 from heun_air.abel import KIND_DISTINCT, KIND_THREE_EQUAL, KIND_TWO_EQUAL
+from heun_air.solutions import _pfq_seed_ode
 from heun_air.numkernel import POLY_ONE, POLY_X, RAT_ONE, RAT_ZERO
 
 
@@ -261,6 +262,19 @@ def test_normal_form_coincidence():
         q_direct, _ = to_normal_form(ode)
         q_pipeline, _ = to_normal_form(companion_p_ode(mobius_nonlocal(ode)))
         assert rat_equal(q_direct, q_pipeline)
+
+
+@pytest.mark.parametrize("kind", ["BHE"])
+def test_family_seed_normal_form_coincidence(kind):
+    """The link between N and N - 1 singularities: the companion p-equation
+    of the non-local image of a family's hypergeometric seed equation has
+    the seed's normal form, on seeded general-branch draws."""
+    r = rng(f"seed-coincide-{kind}")
+    for _ in range(50):
+        seed = _pfq_seed_ode(draw_family(kind, r))
+        q_seed, _ = to_normal_form(seed)
+        q_pipeline, _ = to_normal_form(companion_p_ode(mobius_nonlocal(seed)))
+        assert rat_equal(q_seed, q_pipeline)
 
 
 # ---------------------------------------------------------------------------

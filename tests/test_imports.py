@@ -15,3 +15,19 @@ def test_package_and_cli_import_without_numpy():
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_rerun_in_a_fresh_interpreter_matches_in_process():
+    """inc_beta(0.8, -8.5, 5.0), an input of test_rerun_matches_oracle that
+    neither double-precision route answers, reruns on mpmath: a fresh
+    interpreter has mpmath loaded after it and gives the same bits."""
+    from heun_air import inc_beta
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from heun_air import inc_beta; "
+            "v = inc_beta(0.8, -8.5, 5.0).value; "
+            "print('mpmath' in sys.modules, v.real.hex(), v.imag.hex())")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    v = inc_beta(0.8, -8.5, 5.0).value
+    assert out.split() == ["True", v.real.hex(), v.imag.hex()]

@@ -81,6 +81,12 @@ def test_as_complex_returns_builtin_complex():
         as_complex(np.complex128(complex(1.0, float("nan"))))
     w = as_complex(complex(1.0, -0.0))  # the fast path keeps a signed zero
     assert math.copysign(1.0, w.imag) == -1.0
+    for v in (0.25, -3, 2**70, -0.0):  # float and int: their own fast path
+        w = as_complex(v)
+        assert type(w) is complex and w == v and w.imag == 0.0
+        assert math.copysign(1.0, w.real) == math.copysign(1.0, v)
+    with pytest.raises(NonFiniteError):
+        as_complex(float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +245,20 @@ def test_rat_equal_detects_inequality():
     assert not rat_equal(RAT_ONE, RAT_ZERO)
     close = RatFun(poly_x(1 + 1e-6), POLY_X)
     assert not rat_equal(close, RatFun(POLY_ONE, POLY_X))
+
+
+def _rand_rats_over(r, den: Poly, n: int) -> list[RatFun]:
+    return [RatFun(_rand_poly(r, 4), den) for _ in range(n)]
+
+
+def test_rat_sum_over_identical_denominator_equals_cross_multiplied_sum():
+    r = rng("rat-same-den")
+    for _ in range(20):
+        den = _rand_rat(r).den  # monic, as every RatFun's
+        a, b = _rand_rats_over(r, den, 2)
+        cross = RatFun(a.num * den + b.num * den, den * den)
+        assert rat_equal(a + b, cross)
+        assert rat_equal(a - b, RatFun(a.num * den - b.num * den, den * den))
 
 
 def test_rat_field_axioms_random():
