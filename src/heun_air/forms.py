@@ -185,9 +185,11 @@ def to_normal_form(ode: LinearODE) -> tuple[RatFun, RatFun]:
 
     Writing y = exp(g) u with gauge exponent g' = c1/2 gives u'' = q u with
     q = c0 + c1^2/4 - c1'/2. Returns (q, gauge_exponent_derivative = c1/2).
+    c1^2/4 - c1'/2 is summed first, over c1's squared denominator, and c0
+    added to it.
     """
     c1, c0 = ode.c1, ode.c0
-    q = c0 + (c1 * c1).scale(0.25) - rat_derivative(c1).scale(0.5)
+    q = c0 + ((c1 * c1).scale(0.25) - rat_derivative(c1).scale(0.5))
     return q, c1.scale(0.5)
 
 

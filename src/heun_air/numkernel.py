@@ -3,7 +3,8 @@
 Substrate for every ODE-coefficient manipulation in the package: immutable
 `Poly` (ascending coefficients) and `RatFun` (num/den with monic denominator,
 no GCD cancellation) values, Horner evaluation with pole detection,
-quotient-rule differentiation, and cross-multiplication equality.
+quotient-rule and logarithmic differentiation, and cross-multiplication
+equality.
 
 All coefficients are complex: the characteristic exponents that parametrize
 the solution formulas go complex for real equation parameters, and a single
@@ -11,6 +12,7 @@ numeric tower avoids duplicating every code path per branch.
 """
 from __future__ import annotations
 
+from cmath import isfinite as _cisfinite
 from dataclasses import dataclass
 from math import isfinite as _isfinite
 from numbers import Complex as _Complex
@@ -33,8 +35,11 @@ NEG_INF = float("-inf")
 
 def as_complex(z) -> complex:
     """Coerce a scalar to `complex`, refusing non-finite components."""
-    if type(z) is complex:  # fast path: skips the ABC check below
+    t = type(z)
+    if t is complex:  # fast paths: skip the ABC check below
         w = z
+    elif t is float or t is int:
+        w = complex(z)
     elif isinstance(z, _Complex):
         w = complex(z)
     else:
@@ -49,13 +54,28 @@ class Poly:
     """Polynomial with complex coefficients, ascending degree.
 
     Trailing exact zeros are trimmed on construction; the zero polynomial is
-    the empty tuple and reports degree -inf.
+    the empty tuple and reports degree -inf. The constructor coerces each
+    coefficient with `as_complex`; the arithmetic below builds its results
+    with `_of` from the builtin complex values it computed.
     """
 
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs=()):
-        cs = [as_complex(c) for c in coeffs]
+        self._set([as_complex(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, cs: list) -> Poly:
+        """Poly of builtin complex coefficients, without `as_complex`;
+        a non-finite one raises NonFiniteError as there."""
+        if not all(map(_cisfinite, cs)):
+            raise NonFiniteError(
+                f"non-finite coefficient {next(c for c in cs if not _cisfinite(c))!r}")
+        p = object.__new__(cls)
+        p._set(cs)
+        return p
+
+    def _set(self, cs: list) -> None:
         while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) - 1 > DEGREE_CAP:
@@ -84,10 +104,10 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -100,14 +120,14 @@ class Poly:
         for i, ci in enumerate(a):
             for j, cj in enumerate(b):
                 out[i + j] += ci * cj
-        return Poly(out)
+        return Poly._of(out)
 
     def scale(self, k) -> Poly:
         k = as_complex(k)
-        return Poly([k * c for c in self.coeffs])
+        return Poly._of([k * c for c in self.coeffs])
 
     def derivative(self) -> Poly:
-        return Poly([n * c for n, c in enumerate(self.coeffs)][1:])
+        return Poly._of([n * c for n, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x) -> complex:
         x = as_complex(x)
@@ -140,7 +160,11 @@ class RatFun:
     The denominator's leading coefficient is normalized to 1 (the scalar
     factor moves into the numerator); no polynomial GCD cancellation is
     performed — equality testing cross-multiplies, so uncancelled common
-    factors are harmless.
+    factors are harmless. Two exact rules keep common factors from being
+    created instead: a sum over one and the same denominator `Poly` adds
+    the numerators over it, and the logarithmic derivative r'/r of
+    r = N/D is formed as (N'D - ND')/(N D) (`rat_log_derivative`), not as
+    the quotient r'/r, whose denominator D^3 N repeats D.
     """
 
     num: Poly
@@ -156,7 +180,7 @@ class RatFun:
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
             # force exact monic lead (scale can leave 1+eps rounding)
-            den = Poly(den.coeffs[:-1] + (1,))
+            den = Poly._of([*den.coeffs[:-1], 1 + 0j])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -170,6 +194,8 @@ class RatFun:
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other: RatFun) -> RatFun:
+        if self.den == other.den:
+            return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -224,6 +250,15 @@ def rat_derivative(r: RatFun) -> RatFun:
     """Quotient-rule derivative (num' den - num den') / den^2."""
     return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(),
                   r.den * r.den)
+
+
+def rat_log_derivative(r: RatFun) -> RatFun:
+    """r'/r of r = N/D as (N' D - N D') / (N D); r must not be zero."""
+    if r.num.is_zero():
+        raise ZeroCoefficientError("logarithmic derivative of the zero "
+                                   "rational function")
+    n, d = r.num, r.den
+    return RatFun(n.derivative() * d - n * d.derivative(), n * d)
 
 
 def rat_equal(r1: RatFun, r2: RatFun) -> bool:

@@ -89,10 +89,14 @@ def pair_exp(p: Pair) -> Pair:
 
 
 def pair_pow(p: Pair, w) -> Pair:
-    """p^w on the principal branch, derivative w p^(w-1) p'."""
+    """p^w on the principal branch, derivative w p^(w-1) p'; one log(p)
+    serves both powers, as principal_power forms each."""
     w = as_complex(w)
-    return (principal_power(p[0], w),
-            w * principal_power(p[0], w - 1) * p[1])
+    z = as_complex(p[0])
+    if z == 0:  # principal_power's zero-base branch
+        return (principal_power(z, w), w * principal_power(z, w - 1) * p[1])
+    log_z = cmath.log(z)
+    return (cmath.exp(w * log_z), w * cmath.exp((w - 1) * log_z) * p[1])
 
 
 def pair_fn(f: FnValue, chain=1.0) -> Pair:

@@ -44,6 +44,8 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
    integers, where the reflection loses digits;
 3. the mpmath rerun, on this thread's private mpmath context m at the
    fixed working precision _RERUN_DPS, whose value is rounded to a double.
+   mpmath is imported by the first rerun (_mp_ctx), not with the package,
+   so a process whose every call the double routes answer never loads it.
 
 So a call that the kernel answers is unchanged by the second routes, and
 only a value that the kernel would have handed to the rerun can come from
@@ -93,9 +95,6 @@ import functools
 import math
 import os
 import threading
-
-import mpmath
-from mpmath.libmp import NoConvergence
 
 from .errors import (BranchError, ConvergenceError, DomainError, HeunAirError,
                      NonFiniteError, ParamError, PoleError)
@@ -341,9 +340,11 @@ _RERUN_DPS = 26
 def _mp_ctx() -> mpmath.MPContext:
     """This thread's private mpmath context, at _RERUN_DPS digits, so that a
     rerun never changes the global mpmath.mp precision. Created once per
-    thread: building an mpmath.MPContext costs about a millisecond."""
+    thread: building an mpmath.MPContext costs about a millisecond. mpmath
+    itself is imported here, at the first rerun."""
     m = getattr(_local, "m", None)
     if m is None:
+        import mpmath
         m = _local.m = mpmath.MPContext()
         m.dps = _RERUN_DPS
     return m
@@ -379,6 +380,7 @@ def _guarded(kernel, second, rerun, cap, *args) -> complex:
             if cmath.isfinite(v2) and est <= CANCEL_LIMIT:
                 return v2
     m = _mp_ctx()
+    from mpmath.libmp import NoConvergence  # loaded by _mp_ctx
     try:
         v = rerun(m, *args)
     except NoConvergence as e:

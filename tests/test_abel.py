@@ -264,7 +264,7 @@ def test_normal_form_coincidence():
         assert rat_equal(q_direct, q_pipeline)
 
 
-@pytest.mark.parametrize("kind", ["BHE"])
+@pytest.mark.parametrize("kind", ["BHE", "CHE", "GHE"])
 def test_family_seed_normal_form_coincidence(kind):
     """The link between N and N - 1 singularities: the companion p-equation
     of the non-local image of a family's hypergeometric seed equation has

@@ -17,6 +17,15 @@ def test_package_and_cli_import_without_numpy():
     assert out.strip() == "False"
 
 
+def test_package_and_cli_import_without_mpmath():
+    """mpmath is loaded by the first rerun, not by the import."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import heun_air, heun_air.cli; print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_rerun_in_a_fresh_interpreter_matches_in_process():
     """inc_beta(0.8, -8.5, 5.0), an input of test_rerun_matches_oracle that
     neither double-precision route answers, reruns on mpmath: a fresh

@@ -25,6 +25,7 @@ from heun_air import (
     rat_equal,
     rat_eval,
 )
+from heun_air.numkernel import rat_log_derivative
 from heun_air.numkernel import POLY_ONE, POLY_X, POLY_ZERO, RAT_ONE, RAT_ZERO
 
 FD_REL_TOL = 1e-6
@@ -259,6 +260,28 @@ def test_rat_sum_over_identical_denominator_equals_cross_multiplied_sum():
         cross = RatFun(a.num * den + b.num * den, den * den)
         assert rat_equal(a + b, cross)
         assert rat_equal(a - b, RatFun(a.num * den - b.num * den, den * den))
+
+
+def test_rat_sum_over_identical_denominator_keeps_it():
+    r = rng("rat-same-den-kept")
+    for _ in range(20):
+        den = _rand_rat(r).den
+        a, b = _rand_rats_over(r, den, 2)
+        assert (a + b).den == den and (a - b).den == den
+        assert (a + b).num == a.num + b.num
+
+
+def test_rat_log_derivative_matches_quotient():
+    r = rng("rat-log-derivative")
+    for _ in range(30):
+        rf = _rand_rat(r)
+        if rf.is_zero():
+            continue
+        got = rat_log_derivative(rf)
+        assert rat_equal(got, rat_derivative(rf) / rf)
+        assert got.den.degree <= rf.num.degree + rf.den.degree
+    with pytest.raises(ZeroCoefficientError):
+        rat_log_derivative(RAT_ZERO)
 
 
 def test_rat_field_axioms_random():
