@@ -36,11 +36,9 @@ NEG_INF = float("-inf")
 def as_complex(z) -> complex:
     """Coerce a scalar to `complex`, refusing non-finite components."""
     t = type(z)
-    if t is complex:  # fast paths: skip the ABC check below
+    if t is complex:  # fast path: skips complex() and the ABC check
         w = z
-    elif t is float or t is int:
-        w = complex(z)
-    elif isinstance(z, _Complex):
+    elif t is float or t is int or isinstance(z, _Complex):
         w = complex(z)
     else:
         raise TypeError(f"expected a complex scalar, got {type(z).__name__}")
@@ -69,8 +67,7 @@ class Poly:
         """Poly of builtin complex coefficients, without `as_complex`;
         a non-finite one raises NonFiniteError as there."""
         if not all(map(_cisfinite, cs)):
-            raise NonFiniteError(
-                f"non-finite coefficient {next(c for c in cs if not _cisfinite(c))!r}")
+            raise NonFiniteError("non-finite polynomial coefficient")
         p = object.__new__(cls)
         p._set(cs)
         return p

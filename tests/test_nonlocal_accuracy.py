@@ -6,10 +6,11 @@
   forms (`perfbench/oracles.nonlocal_expected`), relative to
   max(1, |closed form|), at the benchmark's two non-local points and at
   0.5 + 0.5i.
-* The span of the p-route basis (`solve_via_p_route`): each direct member
-  is fitted as a combination of the p-route members from value and
-  derivative at x = 0.5 and compared with them at eight more points of
-  [0.15, 0.85], as acceptance battery 4 does.
+* The span of the p-route basis (`solve_via_p_route`) on seeded GHE
+  general-branch draws: each direct member is fitted as a combination of
+  the p-route members from value and derivative at x = 0.5 and compared
+  with them at eight more points of [0.15, 0.85], as acceptance battery 4
+  does on its own draws.
 
 Each bound is the worst error at this test's introduction, rounded up to
 the next 1, 2 or 5 of its decade; the comment beside it gives that worst
@@ -24,6 +25,7 @@ import pytest
 from heun_air import (GHEFamily, abel, rat_eval, solve_family,
                       solve_via_p_route)
 from heun_air.solutions import _pfq_seed_ode
+from test_acceptance import _fit_and_check
 from test_member_accuracy import load_bench
 
 #: Worst |got - want| / max(1, |want|) over both coefficients.
@@ -66,24 +68,6 @@ def test_ghe_nonlocal_maps_against_closed_forms(bench):
     assert worst["companion"] <= COMPANION_BOUND, worst
 
 
-def _fit_mismatch(y, p1, p2, x_fit, xs) -> float:
-    yv, yd = y(x_fit)
-    p1v, p1d = p1(x_fit)
-    p2v, p2d = p2(x_fit)
-    det = p1v * p2d - p2v * p1d
-    alpha = (yv * p2d - p2v * yd) / det
-    beta = (p1v * yd - yv * p1d) / det
-    worst = 0.0
-    for x in xs:
-        yv, yd = y(x)
-        v1, d1 = p1(x)
-        v2, d2 = p2(x)
-        worst = max(worst,
-                    abs(alpha * v1 + beta * v2 - yv) / max(1.0, abs(yv)),
-                    abs(alpha * d1 + beta * d2 - yd) / max(1.0, abs(yd)))
-    return worst
-
-
 def test_ghe_p_route_spans_the_direct_basis(bench):
     _, draws, _ = bench
     worst, where = 0.0, None
@@ -92,7 +76,7 @@ def test_ghe_p_route_spans_the_direct_basis(bench):
         f = GHEFamily(*d.params)
         direct, p_route = solve_family(f), solve_via_p_route(f)
         for y in (direct.y1, direct.y2):
-            err = _fit_mismatch(y, p_route.y1, p_route.y2, fit_at, rest)
+            err = _fit_and_check(y, p_route.y1, p_route.y2, fit_at, rest)
             if err > worst:
                 worst, where = err, d.params
     assert worst <= SPAN_BOUND, f"{worst:.3g} on {where}"

@@ -61,6 +61,18 @@ raised, a `verify_basis` row's status or a report's status and row count
 and the worst derivative change relative to max(|y|, |y'|) of the
 parent's line. Changed `verify_basis` values and aggregates, CSV hashes
 and CLI output hashes are counted, not judged.
+
+A change that may move outputs is described with
+
+    python3 tools/bit_identity.py --summary parent.dump change.dump
+
+which never fails. Per section (a line's tag without its seed and
+index, as `tabulate`, `verify`, `verify:p` for the p-route, `cli` or
+`specialfns:hyp1f1`) and line kind (`member`, `row`, `report`, `normal`,
+...) it prints the changed-line count and, for member and special-function
+lines, the worst change of the value or the derivative relative to
+max(|y|, |y'|) of the parent's line, and it ends with one sentence that
+states where the dumps differ.
 """
 from __future__ import annotations
 
@@ -416,6 +428,59 @@ def drift(parent_path: str, change_path: str) -> int:
     return 1 if faults["value"] or faults["status"] else 0
 
 
+def _section(body: str) -> str:
+    """A line's tag without its seed and index: `tabulate`, `verify`,
+    `verify:p`, `cli` or `specialfns:<function>`."""
+    parts = body.split(" ", 1)[0].split(":")
+    if parts[0] == "specialfns":
+        return ":".join(parts[:2])
+    return parts[0] + (":p" if parts[-1] == "p" else "")
+
+
+def _rel_change(p: str, c: str) -> float | None:
+    """max(|dy|, |dy'|) / max(|y|, |y'|) of two value lines, or None when
+    either does not end in a value and a derivative."""
+    pt, ct = p.split(" ")[-2:], c.split(" ")[-2:]
+    if not all(map(_PAIR.fullmatch, pt + ct)):
+        return None
+    (v, d), (w, e) = map(_cx, pt), map(_cx, ct)
+    return max(abs(w - v), abs(e - d)) / max(abs(v), abs(d), 1e-300)
+
+
+def summary(parent_path: str, change_path: str) -> int:
+    """Print the changed lines per section and kind, the worst relative
+    change of member and special-function lines, and one sentence; 0."""
+    with open(parent_path) as fp, open(change_path) as fc:
+        parent, change = fp.readlines(), fc.readlines()
+    if len(parent) != len(change):
+        print(f"the dumps have {len(parent)} and {len(change)} lines; the "
+              f"first {min(len(parent), len(change))} are compared")
+    counts: dict[tuple[str, str], int] = {}
+    worst: dict[tuple[str, str], float] = {}
+    for p, c in zip(parent, change):
+        pb, cb = _split(p)[0], _split(c)[0]
+        if pb == cb:
+            continue
+        key = (_section(pb), _kind(pb))
+        counts[key] = counts.get(key, 0) + 1
+        d = _rel_change(pb, cb) if key[1] in ("member", "specialfns") else None
+        if d is not None:
+            worst[key] = max(worst.get(key, 0.0), d)
+    print(f"{'section':24s} {'kind':12s} {'changed':>8s}  worst")
+    for key, n in sorted(counts.items()):
+        w = f"{worst[key]:.3g}" if key in worst else "-"
+        print(f"{key[0]:24s} {key[1]:12s} {n:8d}  {w}")
+    where = ", ".join(f"{sec} {kind}" for sec, kind in sorted(counts))
+    text = f"The dumps differ on {sum(counts.values())} of {len(parent)} lines"
+    if counts:
+        text += f", all of them {where} lines"
+    if worst:
+        text += (f"; the worst change is {max(worst.values()):.3g} of "
+                 "max(|y|, |y'|)")
+    print(text + ".")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     src = ap.add_mutually_exclusive_group(required=True)
@@ -424,7 +489,12 @@ def main(argv=None) -> int:
                      help="compare two dumps instead")
     src.add_argument("--drift", nargs=2, metavar=("PARENT", "CHANGE"),
                      help="compare two dumps that may differ in derivatives")
+    src.add_argument("--summary", nargs=2, metavar=("PARENT", "CHANGE"),
+                     help="count the changed lines of two dumps per section "
+                     "and kind; never fails")
     args = ap.parse_args(argv)
+    if args.summary:
+        return summary(*args.summary)
     if args.compare:
         return compare(*args.compare)
     if args.drift:
