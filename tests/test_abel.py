@@ -34,8 +34,8 @@ from heun_air import (
     to_normal_form,
 )
 from heun_air.abel import KIND_DISTINCT, KIND_THREE_EQUAL, KIND_TWO_EQUAL
-from heun_air.solutions import _pfq_seed_ode
 from heun_air.numkernel import POLY_ONE, POLY_X, RAT_ONE, RAT_ZERO
+from heun_air.solutions import _pfq_seed_ode
 
 
 def _rand_ode(r, max_deg: int = 2, nonzero_c0: bool = True) -> LinearODE:
