@@ -8,7 +8,9 @@ values nearly cancel in their derivatives:
 
 * BHE at |x + sigma| = 0.12, the benchmark's margin around the removable
   point, where the Kummer argument w = (x + sigma)^2 is small;
-* GHE at x = 0.05 and 0.95, the ends of its grid;
+* GHE at x = 0.9 and 0.95, near the singular point x = 1, where the
+  Gauss series converges slowest (every other grid point stops at 0.85):
+  added to those grid points, with a bound of its own;
 * BHE with A = (tau^2 - sigma^2)/4 within 1e-6 of 1/2, where A - b and
   b - A vanish (b = 1/2);
 * CHE with kappa + nu within 1e-3 of 1/2, where the Whittaker indices'
@@ -19,7 +21,8 @@ Both are compared with the benchmark's 32-digit mpmath closed forms
 max(|closed form|, 1e-3 times the member's largest |y| or |y'| over its
 point set), the scale rule of the benchmark's `tabulate` check. Each family
 has one bound: the worst error at c5a182a, rounded up to the next 1, 2 or
-5 of its decade. The benchmark's modules are imported without writing
+5 of its decade; the GHE points near x = 1 have one of their own, by the
+same rule at 6d6dce3. The benchmark's modules are imported without writing
 bytecode.
 """
 from __future__ import annotations
@@ -47,6 +50,13 @@ BOUNDS = {
     "GHE": 2e-14,  # 1.3e-14, (2.289604179339847, 1.8557796348907676,
                    #          1.54197876171183, 0.8367081785993156), x = 0.8
 }
+
+#: GHE's points near x = 1, and their bound; in the comment the worst error
+#: at 6d6dce3.
+NEAR_ONE = [0.9, 0.95]
+NEAR_ONE_BOUND = 5e-14  # 3.28e-14, (1.9146041793398472, -1.255331476220344,
+                        #           -0.05802123828816996,
+                        #           -0.38778161731905225), x = 0.95
 
 #: Seeded draws per family.
 DRAWS = {"BHE": 8, "CHE": 5, "GHE": 8}
@@ -111,13 +121,15 @@ def _draws(draws, kind: str):
     return out + [draws.Draw(kind, draws.GENERAL, p) for p in EDGE_DRAWS[kind]]
 
 
-def worst_error(bench, kind: str) -> tuple[float, str]:
+def worst_error(bench, kind: str, point_sets=_point_sets) -> tuple[float, str]:
+    """The worst error of a family's members over point_sets(run, draw) of
+    each draw, and where it is."""
     run, draws, oracles = bench
     family = {"BHE": BHEFamily, "CHE": CHEFamily, "GHE": GHEFamily}[kind]
     worst, where = 0.0, ""
     for d in _draws(draws, kind):
         basis = heun_air.solve_family(family(*d.params))
-        for xs in _point_sets(run, d):
+        for xs in point_sets(run, d):
             got = [(basis.y1(x), basis.y2(x)) for x in xs]
             scales = tuple(max(max(abs(v), abs(dv)) for v, dv in
                                (g[m] for g in got)) for m in (0, 1))
@@ -133,3 +145,9 @@ def worst_error(bench, kind: str) -> tuple[float, str]:
 def test_members_against_closed_forms(bench, kind):
     worst, where = worst_error(bench, kind)
     assert worst <= BOUNDS[kind], f"{worst:.3g} on {where}"
+
+
+def test_ghe_members_near_one(bench):
+    worst, where = worst_error(
+        bench, "GHE", lambda run, d: [run._grid(d)[::2] + NEAR_ONE])
+    assert worst <= NEAR_ONE_BOUND, f"{worst:.3g} on {where}"

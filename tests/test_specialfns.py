@@ -777,6 +777,34 @@ def test_declining_second_route_ends_in_the_rerun(reruns):
     assert reruns
 
 
+#: Calls within CONNECT_FIRST of z = 1, as (arguments, HEUN_AIR_MAX_TERMS
+#: or None, the value hyp2f1 returns or the error it raises).
+NEAR_ONE_CASES = [
+    # the connection route's gamma factors overflow: it declines to the
+    # kernel, which sums the series
+    ((0.5, 200.3, 1.2, 0.95), None, 6.392702324883864e+257),
+    ((150.5, 30.3, 1.2, 0.95), None, 1.5051385958000413e+266),
+    ((2.5, 3.1, 190.7, 0.95), None, 1.0400345350221873),
+    # c - a - b = -2 is an integer, where the route declines
+    ((-1, 4, 1, 0.95), None, -2.8),
+    # ... and where the kernel's term cap is raised to the caller
+    ((0.5, 1.5, 3.0, 0.95), "10", ConvergenceError),
+]
+
+
+@pytest.mark.parametrize("args, cap, want", NEAR_ONE_CASES,
+                         ids=["overflow-b", "overflow-a", "overflow-c",
+                              "integer-s", "kernel-cap"])
+def test_connection_route_order_near_one(monkeypatch, args, cap, want):
+    if cap is not None:
+        monkeypatch.setenv(ENV_MAX_TERMS, cap)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            hyp2f1(*args)
+    else:
+        assert hyp2f1(*args).value == want
+
+
 def test_rerun_kummer_u_derivative_matches_oracle(no_second_routes):
     a, b, z = 0.7, 0.3, 8.0
     _, cancel = specialfns._k_kummer_u(specialfns.MAX_TERMS_DEFAULT, a + 1, b + 1, z)
