@@ -131,8 +131,11 @@ _MEMO_U_FACTORS = 16
 #: A second route's (value, estimate) when it does not apply.
 _DECLINE = (complex("nan"), math.inf)
 
-#: The 2F1 connection route runs for |1 - z| up to this.
+#: The 2F1 connection route runs for |1 - z| up to this,
 CONNECT_MAX = 0.9
+#: and before the kernel up to this, where the Gauss series converges
+#: slowest; beyond it the kernel is the more accurate route, and stays first.
+CONNECT_FIRST = 0.1
 
 
 def max_terms() -> int:
@@ -356,7 +359,18 @@ def _export_cancel(peak, mag_final) -> float:
     return c if c <= 1e300 else 1e300
 
 
-def _guarded(kernel, second, rerun, cap, *args) -> complex:
+def _second_value(second, cap, args):
+    """The second route's value where its estimate is at most CANCEL_LIMIT,
+    else None: it declines, also where it raises a typed refusal or
+    overflows inside."""
+    try:
+        value, est = second(cap, *args)
+    except (HeunAirError, ArithmeticError):
+        return None
+    return value if cmath.isfinite(value) and est <= CANCEL_LIMIT else None
+
+
+def _guarded(kernel, second, rerun, cap, *args, second_first=False) -> complex:
     """Run a double-precision kernel under the term cap `cap`. When its
     cancellation estimate says double precision was insufficient, or it
     overflows (an ArithmeticError; its typed errors propagate), try the
@@ -364,21 +378,22 @@ def _guarded(kernel, second, rerun, cap, *args) -> complex:
     declines or its own estimate exceeds CANCEL_LIMIT too, return
     rerun(m, *args): one call of mpmath's own function on this thread's
     private context m, NonFiniteError where its value overflows a double or
-    underflows to 0."""
+    underflows to 0. With second_first, the second route runs before the
+    kernel instead, and declines to it in the same way."""
+    if second_first:
+        value = _second_value(second, cap, args)
+        if value is not None:
+            return value
     try:
         value, cancel = kernel(cap, *args)
     except ArithmeticError:
         value, cancel = _DECLINE  # an overflow inside the kernel: decline
     if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
         return value
-    if second is not None:
-        try:
-            v2, est = second(cap, *args)
-        except (HeunAirError, ArithmeticError):
-            pass  # a typed refusal or an overflow inside the route: decline
-        else:
-            if cmath.isfinite(v2) and est <= CANCEL_LIMIT:
-                return v2
+    if second is not None and not second_first:
+        value = _second_value(second, cap, args)
+        if value is not None:
+            return value
     m = _mp_ctx()
     from mpmath.libmp import NoConvergence  # loaded by _mp_ctx
     try:
@@ -616,6 +631,12 @@ def _mp_2f1(m, a, b, c, z):
     return m.hyp2f1(a, b, c, z, zeroprec=m.prec)
 
 
+def _connect_first(z) -> bool:
+    """Whether 2F1 and B_x at z try the connection route before the kernel:
+    within CONNECT_FIRST of z = 1."""
+    return abs(1 - z) <= CONNECT_FIRST
+
+
 def _k2_2f1(cap, a, b, c, z):
     """2F1 by the 1 - z connection formula (DLMF 15.8.4, 15.10.21), for
     |1 - z| <= CONNECT_MAX: with s = c - a - b,
@@ -785,10 +806,12 @@ def hyp2f1(a, b, c, z) -> FnValue:
         raise ParamError(f"2F1 undefined: c = {c!r} at a nonpositive integer")
     if abs(z) >= 1.0:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
-    cap = max_terms()
-    value = _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a, b, c, z)
+    cap, first = max_terms(), _connect_first(z)
+    value = _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a, b, c, z,
+                     second_first=first)
     return FnValue(value, thunk=lambda: (a * b / c) * _guarded(
-        _k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z))
+        _k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z,
+        second_first=first))
 
 
 def hyp0f1(b, z) -> FnValue:
@@ -880,6 +903,7 @@ def inc_beta(x, a, b) -> FnValue:
         raise BranchError(f"B_x undefined for real x >= 1, got x = {x.real:.6g}")
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
-    value = _guarded(_k_inc_beta, _k2_inc_beta, _mp_inc_beta, max_terms(), x, a, b)
+    value = _guarded(_k_inc_beta, _k2_inc_beta, _mp_inc_beta, max_terms(),
+                     x, a, b, second_first=_connect_first(x))
     return FnValue(value, thunk=lambda: (principal_power(x, a - 1)
                                         * principal_power(1 - x, b - 1)))

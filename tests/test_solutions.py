@@ -384,9 +384,9 @@ def guarded_calls(monkeypatch):
     calls = [0]
     guarded = specialfns._guarded
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return guarded(*args)
+        return guarded(*args, **kwargs)
     monkeypatch.setattr(specialfns, "_guarded", counting)
     return calls
 

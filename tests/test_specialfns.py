@@ -777,32 +777,52 @@ def test_declining_second_route_ends_in_the_rerun(reruns):
     assert reruns
 
 
-#: Calls within CONNECT_FIRST of z = 1, as (arguments, HEUN_AIR_MAX_TERMS
-#: or None, the value hyp2f1 returns or the error it raises).
+#: Calls within CONNECT_FIRST of z = 1, as (function, arguments,
+#: HEUN_AIR_MAX_TERMS or None, the value it returns, the error it raises,
+#: or the name of the connection route whose value it returns).
 NEAR_ONE_CASES = [
-    # the connection route's gamma factors overflow: it declines to the
-    # kernel, which sums the series
-    ((0.5, 200.3, 1.2, 0.95), None, 6.392702324883864e+257),
-    ((150.5, 30.3, 1.2, 0.95), None, 1.5051385958000413e+266),
-    ((2.5, 3.1, 190.7, 0.95), None, 1.0400345350221873),
+    # the connection route runs first, and answers
+    (hyp2f1, (0.3, 0.7, 1.1, 0.95), None, "_k2_2f1"),
+    (inc_beta, (0.95, 0.7, 1.6), None, "_k2_inc_beta"),
+    # the route's gamma factors overflow: it declines to the kernel, which
+    # sums the series
+    (hyp2f1, (0.5, 200.3, 1.2, 0.95), None, 6.392702324883864e+257),
+    (hyp2f1, (150.5, 30.3, 1.2, 0.95), None, 1.5051385958000413e+266),
+    (hyp2f1, (2.5, 3.1, 190.7, 0.95), None, 1.0400345350221873),
     # c - a - b = -2 is an integer, where the route declines
-    ((-1, 4, 1, 0.95), None, -2.8),
+    (hyp2f1, (-1, 4, 1, 0.95), None, -2.8),
     # ... and where the kernel's term cap is raised to the caller
-    ((0.5, 1.5, 3.0, 0.95), "10", ConvergenceError),
+    (hyp2f1, (0.5, 1.5, 3.0, 0.95), "10", ConvergenceError),
 ]
 
 
-@pytest.mark.parametrize("args, cap, want", NEAR_ONE_CASES,
-                         ids=["overflow-b", "overflow-a", "overflow-c",
-                              "integer-s", "kernel-cap"])
-def test_connection_route_order_near_one(monkeypatch, args, cap, want):
+@pytest.mark.parametrize("fn, args, cap, want", NEAR_ONE_CASES,
+                         ids=["route-2F1", "route-B_x", "overflow-b",
+                              "overflow-a", "overflow-c", "integer-s",
+                              "kernel-cap"])
+def test_connection_route_order_near_one(monkeypatch, fn, args, cap, want):
     if cap is not None:
         monkeypatch.setenv(ENV_MAX_TERMS, cap)
     if isinstance(want, type):
         with pytest.raises(want):
-            hyp2f1(*args)
-    else:
-        assert hyp2f1(*args).value == want
+            fn(*args)
+        return
+    if isinstance(want, str):
+        route = getattr(specialfns, want)
+        kernel = getattr(specialfns, want.replace("_k2_", "_k_"))
+        cx = tuple(map(complex, args))
+        want, est = route(MAX_TERMS_DEFAULT, *cx)
+        assert est <= CANCEL_LIMIT
+        # the kernel answers too, in other last bits
+        kernel_value, cancel = kernel(MAX_TERMS_DEFAULT, *cx)
+        assert cancel <= CANCEL_LIMIT and kernel_value != want
+    assert fn(*args).value == want
+
+
+def test_connection_route_first_for_the_2f1_derivative():
+    a, b, c, z = 0.3 + 0j, 0.7 + 0j, 1.1 + 0j, 0.95 + 0j
+    g, _ = specialfns._k2_2f1(MAX_TERMS_DEFAULT, a + 1, b + 1, c + 1, z)
+    assert hyp2f1(a, b, c, z).derivative == (a * b / c) * g
 
 
 def test_rerun_kummer_u_derivative_matches_oracle(no_second_routes):

@@ -71,8 +71,9 @@ index, as `tabulate`, `verify`, `verify:p` for the p-route, `cli` or
 `specialfns:hyp1f1`) and line kind (`member`, `row`, `report`, `normal`,
 ...) it prints the changed-line count and, for member and special-function
 lines, the worst change of the value or the derivative relative to
-max(|y|, |y'|) of the parent's line, and it ends with one sentence that
-states where the dumps differ.
+max(|y|, |y'|) of the parent's line; then, per section and kind with a
+worst change, the parent's and the change's line that hold it; and it
+ends with one sentence that states where the dumps differ.
 """
 from __future__ import annotations
 
@@ -449,7 +450,8 @@ def _rel_change(p: str, c: str) -> float | None:
 
 def summary(parent_path: str, change_path: str) -> int:
     """Print the changed lines per section and kind, the worst relative
-    change of member and special-function lines, and one sentence; 0."""
+    change of member and special-function lines and the lines that hold
+    it, and one sentence; 0."""
     with open(parent_path) as fp, open(change_path) as fc:
         parent, change = fp.readlines(), fc.readlines()
     if len(parent) != len(change):
@@ -457,19 +459,23 @@ def summary(parent_path: str, change_path: str) -> int:
               f"first {min(len(parent), len(change))} are compared")
     counts: dict[tuple[str, str], int] = {}
     worst: dict[tuple[str, str], float] = {}
-    for p, c in zip(parent, change):
+    worst_at: dict[tuple[str, str], int] = {}
+    for i, (p, c) in enumerate(zip(parent, change), 1):
         pb, cb = _split(p)[0], _split(c)[0]
         if pb == cb:
             continue
         key = (_section(pb), _kind(pb))
         counts[key] = counts.get(key, 0) + 1
         d = _rel_change(pb, cb) if key[1] in ("member", "specialfns") else None
-        if d is not None:
-            worst[key] = max(worst.get(key, 0.0), d)
+        if d is not None and d > worst.get(key, -1.0):
+            worst[key], worst_at[key] = d, i
     print(f"{'section':24s} {'kind':12s} {'changed':>8s}  worst")
     for key, n in sorted(counts.items()):
         w = f"{worst[key]:.3g}" if key in worst else "-"
         print(f"{key[0]:24s} {key[1]:12s} {n:8d}  {w}")
+    for key, i in sorted(worst_at.items()):
+        print(f"worst {key[0]} {key[1]} change {worst[key]:.3g}, line {i}:\n"
+              f"- {parent[i - 1].rstrip()}\n+ {change[i - 1].rstrip()}")
     where = ", ".join(f"{sec} {kind}" for sec, kind in sorted(counts))
     text = f"The dumps differ on {sum(counts.values())} of {len(parent)} lines"
     if counts:
