@@ -24,8 +24,9 @@ kernel also returns a cancellation estimate -- the peak magnitude reached by
 partial sums/terms divided by the final magnitude, so that the relative
 error is about SERIES_EPS times the estimate.
 
-_guarded tries up to three routes, in this order, and returns the first
-value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
+_guarded tries up to three routes, in this order except for 2F1 and B_x
+near z = 1 (below), and returns the first value whose estimate is at most
+CANCEL_LIMIT (~1e-13 relative accuracy):
 
 1. the kernel _k_*;
 2. for U, 2F1, B_x and Gamma(a, z) only, a second double-precision route
@@ -47,14 +48,18 @@ value whose estimate is at most CANCEL_LIMIT (~1e-13 relative accuracy):
    mpmath is imported by the first rerun (_mp_ctx), not with the package,
    so a process whose every call the double routes answer never loads it.
 
-So a call that the kernel answers is unchanged by the second routes, and
-only a value that the kernel would have handed to the rerun can come from
-a second route instead: it then differs from the rerun's value in the last
-digits, by at most ~1e-13 relative (tests/test_accuracy.py). A second
-route that overflows or raises a typed error declines; a kernel declines
-only where it overflows, and its typed errors (a refused input, the term
-cap) propagate. A rerun value beyond the doubles, above or below, raises
-NonFiniteError.
+Within CONNECT_FIRST of z = 1 (_connect_first), 2F1 and B_x try the
+connection route before the kernel: there the Gauss series converges
+slowest, like |z|^n, while the route's two series in 1 - z converge
+within a few dozen terms. Elsewhere, a call that the kernel answers is
+unchanged by the second routes, and only a value that the kernel would
+have handed to the rerun can come from a second route instead: it then
+differs from the rerun's value in the last digits, by at most ~1e-13
+relative (tests/test_accuracy.py). In either order, a second route that
+overflows or raises a typed error declines to the next route; a kernel
+declines only where it overflows, and its typed errors (a refused input,
+the term cap) propagate. A rerun value beyond the doubles, above or
+below, raises NonFiniteError.
 
 mpmath's functions raise their own working precision while a sum cancels
 (F. Johansson et al., mpmath, https://mpmath.org), so a rerun is one pass
@@ -134,7 +139,8 @@ _DECLINE = (complex("nan"), math.inf)
 #: The 2F1 connection route runs for |1 - z| up to this,
 CONNECT_MAX = 0.9
 #: and before the kernel up to this, where the Gauss series converges
-#: slowest; beyond it the kernel is the more accurate route, and stays first.
+#: slowest. Beyond it the kernel stays first: at 0.2 the GHE members miss
+#: their bound in tests/test_member_accuracy.py at x = 0.85.
 CONNECT_FIRST = 0.1
 
 
@@ -799,7 +805,9 @@ def hyp2f1(a, b, c, z) -> FnValue:
     d/dz = (ab/c) 2F1(a+1, b+1; c+1; z).
 
     c must not lie within 1e-9 of a nonpositive integer; |z| >= 1 is refused.
-    Accuracy target ~1e-11 relative for |z| <= 0.95.
+    Accuracy target ~1e-11 relative for |z| <= 0.95. Within CONNECT_FIRST
+    of z = 1, value and derivative try the 1 - z connection formula before
+    the Gauss series.
     """
     a, b, c, z = as_complex(a), as_complex(b), as_complex(c), as_complex(z)
     if near_nonpositive_integer(c):
@@ -894,7 +902,8 @@ def inc_beta(x, a, b) -> FnValue:
 
     a must not lie within 1e-9 of a nonpositive integer; real x in [1, inf)
     is refused (the integral's endpoint singularity / cut), and |x| >= 1 is
-    outside the series domain.
+    outside the series domain. Within CONNECT_FIRST of x = 1, the 2F1 is
+    tried by the 1 - z connection formula before the Gauss series.
     """
     x, a, b = as_complex(x), as_complex(a), as_complex(b)
     if near_nonpositive_integer(a):
