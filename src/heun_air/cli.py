@@ -24,9 +24,9 @@ from dataclasses import dataclass, fields
 from .errors import HeunAirError, SchemaError
 from .forms import (_CANONICAL_KEYS, _NORMAL_KEYS, BHEFamily, CanonicalParams,
                     CHEFamily, Family, GHEFamily, NormalParams,
-                    canonical_to_family, family_to_canonical,
-                    family_to_normal, family_to_normal_params,
-                    normal_to_family)
+                    _singular_points, canonical_to_family,
+                    family_to_canonical, family_to_normal,
+                    family_to_normal_params, normal_to_family)
 from .solutions import (CLASS_HYPERGEOMETRIC, CLASS_LIOUVILLIAN,
                         SolutionBasis, eval_basis, solve_family)
 from . import verify as verify_mod
@@ -62,32 +62,30 @@ _VERIFY_WINDOWS = {
     "CHE": [(0.2, 0.8), (1.2, 3.0)],
     "GHE": [(0.15, 0.85)],
 }
-#: Distance kept by the default points and RK windows from a point that
-#: the members refuse inside them: BHE's x = -sigma and GHE's x = a.
+#: Distance kept by the default points and RK windows from each cut of
+#: _verify_plan.
 _CUT_MARGIN = 0.12
 
 
 def _verify_plan(fam: Family, basis: SolutionBasis):
     """The default verification points, RK windows and Wronskian breaks
-    (see verify.verify_basis) of a basis. The points within _CUT_MARGIN of
-    a point c that the members refuse are dropped and the RK windows are
-    cut there: for the BHE general branch c = -Re sigma, where the members
-    refuse x = -sigma and continue as other solutions, so the Wronskian is
-    checked on each side; for GHE a real a in (0, 1), the family's singular
-    point, across which W is one constant, so no break."""
+    (see verify.verify_basis) of a basis. They are cut at the family's real
+    singular points (forms._singular_points), across which W is one
+    constant, and for the BHE general branch at the break -Re sigma: the
+    members refuse x = -sigma and continue as other solutions, so W is
+    checked on each side. A cut drops the points within _CUT_MARGIN of it
+    and splits the RK windows there."""
     pts, windows = list(_VERIFY_POINTS[fam.kind]), _VERIFY_WINDOWS[fam.kind]
-    if fam.kind == "BHE" and basis.classification == CLASS_HYPERGEOMETRIC:
-        c, breaks = -fam.sigma.real, (-fam.sigma.real,)
-    elif fam.kind == "GHE" and fam.a.imag == 0 and 0 < fam.a.real < 1:
-        c, breaks = fam.a.real, ()
-    else:
-        return pts, windows, ()
+    roots = map(complex, _singular_points(fam.kind, getattr(fam, "a", None)).values())
+    breaks = ((-fam.sigma.real,) if fam.kind == "BHE"
+              and basis.classification == CLASS_HYPERGEOMETRIC else ())
     m = _CUT_MARGIN
-    pts = [x for x in pts if abs(x - c) > m]
-    windows = [piece for lo, hi in windows
-               for piece in (((lo, hi),) if hi <= c - m or lo >= c + m
-                             else ((lo, c - m), (c + m, hi)))
-               if piece[0] < piece[1]]
+    for c in [r.real for r in roots if r.imag == 0] + list(breaks):
+        pts = [x for x in pts if abs(x - c) > m]
+        windows = [piece for lo, hi in windows
+                   for piece in (((lo, hi),) if hi <= c - m or lo >= c + m
+                                 else ((lo, c - m), (c + m, hi)))
+                   if piece[0] < piece[1]]
     return pts, windows, breaks
 
 

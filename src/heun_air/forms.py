@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParamError
 # rat_eval is unused here, but perfbench/spans.py patches forms.rat_eval
-from .numkernel import (POLY_X, Poly, RAT_ZERO, RatFun, as_complex,
-                        rat_derivative, rat_eval)
+from .numkernel import (Poly, RAT_ZERO, RatFun, as_complex, rat_derivative,
+                        rat_eval)
 
 #: Acceptance tolerance for fixed/dependent parameter constraints during
 #: detection (relative to max(1, magnitudes involved)).
@@ -108,11 +108,30 @@ class GHEFamily:
 
 Family = BHEFamily | CHEFamily | GHEFamily
 
-_NORMAL_KEYS = {
-    "BHE": ("B", "C", "D", "E"),
-    "CHE": ("A", "B", "C", "D", "E"),
-    "GHE": ("a", "A", "B", "D", "E", "F"),
+#: The one statement of each family's q: key -> (pole, order), the
+#: coefficient of (x - pole)^-order, or of x^order at pole "inf"; "a" is
+#: GHE's a. At the _CHECKS keys the coefficient follows from NormalParams:
+#: x^2 has 1, and a GHE q's three first-order residues sum to zero.
+_SHAPES = {
+    "BHE": {"x2": ("inf", 2), "B": ("inf", 1), "C": ("inf", 0),
+            "D": (0, 1), "E": (0, 2)},
+    "CHE": {"A": ("inf", 0), "B": (0, 1), "C": (1, 1), "D": (0, 2), "E": (1, 2)},
+    "GHE": {"A": (0, 1), "B": (1, 1), "res_a": ("a", 1), "D": (0, 2),
+            "E": (1, 2), "F": ("a", 2)},
 }
+_CHECKS = {"x2": lambda v: 1, "res_a": lambda v: v["A"] + v["B"]}
+
+
+def _singular_points(family: str, a=None) -> dict:
+    """label -> root of the finite poles of a family's _SHAPES, "a" read as
+    GHE's a (None when it is not known)."""
+    return {p: a if p == "a" else p for p, _ in _SHAPES[family].values() if p != "inf"}
+
+
+#: NormalParams' keys: a where it is a singular point, then the _SHAPES keys.
+_NORMAL_KEYS = {f: ("a",) * ("a" in _singular_points(f))
+                + tuple(k for k in shape if k not in _CHECKS)
+                for f, shape in _SHAPES.items()}
 
 _CANONICAL_KEYS = {
     "BHE": ("alpha", "beta", "gamma", "delta"),
@@ -123,8 +142,8 @@ _CANONICAL_KEYS = {
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Pole coefficients of a normal form q, keyed per family; the one
-    statement of q, from which family_to_normal builds it:
+    """Pole coefficients of a normal form q, keyed per family; _SHAPES, the
+    one statement of q, puts it over prod (x - p)^2 at its finite poles p:
     BHE: q = x^2 - B x - C - D/x - E/x^2
     CHE: q = -A - B/x - C/(x-1) - D/x^2 - E/(x-1)^2
     GHE: q = -A/x - B/(x-1) + (A+B)/(x-a) - D/x^2 - E/(x-1)^2 - F/(x-a)^2
@@ -197,25 +216,44 @@ def to_normal_form(ode: LinearODE) -> tuple[RatFun, RatFun]:
 # family -> normal form
 # ---------------------------------------------------------------------------
 
+def _expand(factors, den=(1,)) -> list:
+    """den times prod (c0 + c1 x)^m over factors (c0, c1, m), ascending."""
+    for c0, c1, m in factors:
+        for _ in range(m):
+            den = [c0 * u + c1 * v for u, v in zip([*den, 0], [0, *den])]
+    return list(den)
+
+
+def _q_frame(family: str, a=None) -> tuple[Poly, dict]:
+    """q's denominator den = prod (x - p)^2 and, per (pole, order) of
+    _SHAPES, the nonzero (power, coefficient) pairs of its cofactor over
+    den: the product of the other factors, or x^order den at "inf"."""
+    pts = _singular_points(family, a).items()
+    den = _expand([(-r, 1, 2) for _, r in pts], [1 + 0j])
+    cof = {("inf", k): [0] * k + den for k in range(3)}
+    for p, r in pts:
+        cof[p, 2] = _expand([(-s, 1, 2) for o, s in pts if o != p])
+        cof[p, 1] = _expand([(-r, 1, 1)], cof[p, 2])
+    return Poly._of(den), {at: [(i, u) for i, u in enumerate(c) if u]
+                           for at, c in cof.items()}
+
+
+#: The frames of the families whose singular points are fixed; GHE's
+#: moves with a and is built on every call.
+_FIXED_FRAMES = {f: _q_frame(f) for f in _SHAPES if "a" not in _singular_points(f)}
+
+
 def _normal_q(n: NormalParams) -> RatFun:
-    """q as NormalParams' docstring states it."""
-    neg = {k: 0j - v for k, v in n.values.items()}  # zeros kept +0
-    if n.family == "BHE":
-        return RatFun(Poly((neg["E"], neg["D"], neg["C"], neg["B"], 1)),
-                      Poly((0, 0, 1)))
-    if n.family == "CHE":
-        return (RatFun.const(neg["A"])
-                + RatFun(neg["B"], POLY_X)
-                + RatFun(neg["C"], Poly((-1, 1)))
-                + RatFun(neg["D"], Poly((0, 0, 1)))
-                + RatFun(neg["E"], Poly((1, -2, 1))))
-    a = n["a"]
-    return (RatFun(neg["A"], POLY_X)
-            + RatFun(neg["B"], Poly((-1, 1)))
-            + RatFun(n["A"] + n["B"], Poly((-a, 1)))
-            + RatFun(neg["D"], Poly((0, 0, 1)))
-            + RatFun(neg["E"], Poly((1, -2, 1)))
-            + RatFun(neg["F"], Poly((a * a, -2 * a, 1))))
+    """q as _SHAPES states it: each term times its cofactor (_q_frame).
+    GHE's x^5 terms, those of A, B and A + B, cancel exactly."""
+    v = n.values
+    den, cof = _FIXED_FRAMES.get(n.family) or _q_frame(n.family, v.get("a"))
+    num = [0j] * (len(den.coeffs) + 2)
+    for key, at in _SHAPES[n.family].items():
+        c = _CHECKS[key](v) if key in _CHECKS else 0j - v[key]  # zeros +0
+        for i, u in cof[at]:
+            num[i] += c * u
+    return RatFun(Poly._of(num), den)
 
 
 def family_to_normal(f: Family) -> LinearODE:
@@ -262,19 +300,6 @@ def family_to_normal_params(f: Family) -> NormalParams:
 # extraction: q -> normal parameters (exact partial fractions)
 # ---------------------------------------------------------------------------
 
-#: Partial-fraction shape of each family's q (NormalParams' docstring):
-#: key -> (pole, order), the coefficient of (x - pole)^-order, or of
-#: x^order at pole "inf"; "a" is GHE's third singular point. "x2" (must be
-#: 1) and "res_a" (must be A + B) are checks, not NormalParams keys.
-_SHAPES = {
-    "BHE": {"x2": ("inf", 2), "B": ("inf", 1), "C": ("inf", 0),
-            "D": (0, 1), "E": (0, 2)},
-    "CHE": {"A": ("inf", 0), "B": (0, 1), "C": (1, 1), "D": (0, 2), "E": (1, 2)},
-    "GHE": {"A": (0, 1), "B": (1, 1), "res_a": ("a", 1), "D": (0, 2),
-            "E": (1, 2), "F": ("a", 2)},
-}
-
-
 def _divide(coeffs, root):
     """Synthetic division by (x - root): (quotient, remainder), ascending."""
     acc, quot = 0j, []
@@ -301,11 +326,7 @@ def _series(num, at, factors, n) -> list[complex]:
     """First n Taylor coefficients in t of num(at + t) / prod (c0 + c1 t)^m
     over factors (c0, c1, m), c0 != 0. Those of num are repeated synthetic
     division's remainders; the denominator is expanded from its factors."""
-    den = [1] + [0] * n
-    for c0, c1, m in factors:
-        for _ in range(m):
-            den = [c0 * u + c1 * v for u, v in zip(den + [0], [0] + den)]
-    s = []
+    den, s = _expand(factors, [1] + [0] * n), []
     for k in range(n):
         num, rem = _divide(num, at)
         s.append((rem - sum(den[j] * s[k - j] for j in range(1, k + 1))) / den[0])
@@ -315,16 +336,16 @@ def _series(num, at, factors, n) -> list[complex]:
 def extract_normal_params(q, family: str, a=None) -> NormalParams:
     """Recover the pole coefficients of q as exact partial fractions.
 
-    q's denominator is deflated at the family's singular points in turn: 0,
-    1 and for GHE the third point a, the caller's hint or else the mean root
-    of what 0 and 1 leave (exact for (x - a)^m). A q whose denominator
-    keeps a root elsewhere, even one its numerator cancels, is refused
-    (DomainError); no map of this package builds one. The principal part at
-    each pole is the Taylor series of q (x - pole)^m there, the polynomial
-    part that of the reversed polynomials at infinity. Every coefficient
-    outside the family's shape must be below EXTRACT_RESIDUAL_TOL times the
-    largest in-shape one, or q is declared outside the family's normal
-    shape (DomainError).
+    q's denominator is deflated in turn at the family's _singular_points: 0,
+    1 and for GHE a, the caller's hint or else the mean root of what 0 and
+    1 leave, exact for family_to_normal's (x - a)^2 up to rounding. A q
+    whose denominator keeps a root elsewhere, even one its numerator
+    cancels, is refused (DomainError); no map of this package builds one.
+    The principal part at each pole is the Taylor series of q (x - pole)^m
+    there, the polynomial part that of the reversed polynomials at
+    infinity. Every coefficient outside the family's shape must be below
+    EXTRACT_RESIDUAL_TOL times the largest in-shape one, or q is declared
+    outside the family's normal shape (DomainError).
 
     Accepts a RatFun q or a LinearODE (normal-formed first if c1 != 0).
     """
@@ -334,12 +355,12 @@ def extract_normal_params(q, family: str, a=None) -> NormalParams:
         raise ParamError(f"unknown family {family!r}")
     shape, num, den = _SHAPES[family], q.num.coeffs, q.den.coeffs
     poles, rest = {}, den  # label -> (root, multiplicity)
-    for p in dict.fromkeys(p for p, _ in shape.values() if p != "inf"):
-        if p == "a" and a is None:
+    for p, r in _singular_points(family, a).items():
+        if r is None:
             if len(rest) < 2:
                 raise DomainError("no third singular point found in q's denominator")
-            a = -rest[-2] / (len(rest) - 1)  # rest is monic
-        m, rest = _deflate(rest, r := a if p == "a" else p)
+            r = -rest[-2] / (len(rest) - 1)  # rest is monic
+        m, rest = _deflate(rest, r)
         poles[p] = r, m
     if len(rest) > 1:
         raise DomainError(
@@ -359,15 +380,12 @@ def extract_normal_params(q, family: str, a=None) -> NormalParams:
     if stray > EXTRACT_RESIDUAL_TOL * max(abs(c) for c in got.values()):
         raise DomainError(f"q is not a {family} normal form "
                           f"(stray partial-fraction coefficient {stray:.3g})")
-    if family == "BHE" and abs(got["x2"] - 1) > 1e-7:
-        raise DomainError(
-            f"q is not a BHE normal form (x^2 coefficient {got['x2']:.6g})")
-    # structural redundancy: the residue at x = a must equal A + B
-    # (the three first-order residues of q sum to zero)
-    if family == "GHE" and not _close(got["res_a"], -got["A"] - got["B"], tol=1e-7):
-        raise DomainError("q's residue at x = a breaks the GHE residue relation")
-    return NormalParams(family, {k: a if k == "a" else -got[k]
-                                 for k in _NORMAL_KEYS[family]})
+    values = {k: poles[k][0] if k == "a" else -got[k] for k in _NORMAL_KEYS[family]}
+    for key, want in _CHECKS.items():
+        if key in got and not _close(got[key], want(values), tol=1e-7):
+            raise DomainError(f"q is not a {family} normal form ({key} "
+                              f"coefficient {got[key]:.6g})")
+    return NormalParams(family, values)
 
 
 # ---------------------------------------------------------------------------

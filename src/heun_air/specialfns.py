@@ -710,10 +710,15 @@ def _legendre_igam(cap, a, z):
     return cmath.exp(-z) * principal_power(z, a) / f
 
 
+def _igam_by_fraction(a, z) -> bool:
+    """Whether Gamma(a, z) is Legendre's continued fraction: large right-plane z."""
+    return z.real > 0 and abs(z) >= max(6.0, abs(a) + 2.0)
+
+
 def _k_igam_upper(cap, a, z):
     """Upper incomplete gamma; complement series for small/left-plane z,
     continued fraction for large right-plane z; returns (value, cancel)."""
-    if z.real > 0 and abs(z) >= max(6.0, abs(a) + 2.0):
+    if _igam_by_fraction(a, z):
         return _legendre_igam(cap, a, z), 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
     s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
@@ -887,11 +892,9 @@ def inc_gamma_upper(a, z) -> FnValue:
         if a.real > 1:
             return FnValue(value, 0j)
         raise DomainError("derivative of Gamma(a, z) at z = 0 unbounded for Re(a) < 1")
-    if near_nonpositive_integer(a):
-        az = abs(z)
-        if not (z.real > 0 and az >= max(6.0, abs(a) + 2.0)):
-            raise ParamError(
-                f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
+    if near_nonpositive_integer(a) and not _igam_by_fraction(a, z):
+        raise ParamError(
+            f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
     value = _guarded(_k_igam_upper, _k2_igam_upper, _mp_igam_upper, max_terms(), a, z)
     return FnValue(value, thunk=lambda: -principal_power(z, a - 1) * cmath.exp(-z))
 

@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from heun_air import (BHEFamily, GHEFamily, SchemaError, family_to_normal,
-                      solve_family, verify_basis)
+from heun_air import (BHEFamily, CHEFamily, GHEFamily, SchemaError,
+                      family_to_normal, solve_family, verify_basis)
 from heun_air.cli import (
     _VERIFY_POINTS,
     _VERIFY_WINDOWS,
@@ -382,6 +382,35 @@ def test_verify_ghe_around_its_singular_point_a(tmp_path, capsys, a, delta,
     rep = verify_basis(family_to_normal(fam), replace(basis, y1=off), pts,
                        rk_window=windows)
     assert rep.status == "fail"
+
+
+GHE_PTS = [0.2, 0.35, 0.5, 0.65, 0.8]
+CHE_PLAN = ([0.3, 0.5, 0.7, 1.3, 1.7, 2.2, 2.8], [(0.2, 0.8), (1.2, 3.0)], ())
+BHE_PLAN = ([0.4, 0.7, 1.0, 1.4, 1.9, 2.4], [(0.3, 2.0)], ())
+
+
+@pytest.mark.parametrize("fam, plan", [
+    # GHE: a real a is cut only where it reaches the defaults, a complex
+    # one never; W is one constant across a, so there is no break
+    (GHEFamily(0.12, 0.5, 0.1, 0.4), (GHE_PTS[1:], [(0.24, 0.85)], ())),
+    (GHEFamily(0.5, 0.5, 0.1, 0.4),
+     ([0.2, 0.35, 0.65, 0.8], [(0.15, 0.38), (0.62, 0.85)], ())),
+    (GHEFamily(0.88, 0.5, 0.1, 0.4), (GHE_PTS[:-1], [(0.15, 0.76)], ())),
+    *((GHEFamily(a, 0.5, 0.1, 0.4), (GHE_PTS, [(0.15, 0.85)], ()))
+      for a in (0.999, 1.001, -0.05, 1.05, 0.5 + 0.05j)),
+    # CHE: 0 and 1 stay clear of the defaults
+    (CHEFamily(0.8, 0.2, 0.6), CHE_PLAN),
+    # BHE general: cut and break at -Re sigma
+    (BHEFamily(-1.0, 0.3),
+     ([0.4, 0.7, 1.4, 1.9, 2.4], [(0.3, 0.88), (1.12, 2.0)], (1.0,))),
+    (BHEFamily(-0.5 + 0.2j, 0.3),
+     ([0.7, 1.0, 1.4, 1.9, 2.4], [(0.3, 0.38), (0.62, 2.0)], (0.5,))),
+    # BHE Liouvillian: the members take x = -sigma; no cut
+    (BHEFamily(-1.0, -1.0), BHE_PLAN),
+    (BHEFamily(0.7, 0.7), BHE_PLAN),
+])
+def test_verify_plan_pinned(fam, plan):
+    assert _verify_plan(fam, solve_family(fam)) == plan
 
 
 def test_paper_suite_runs_clean(tmp_path, capsys):

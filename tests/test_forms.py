@@ -182,6 +182,40 @@ def test_family_to_normal_matches_pole_expansion():
             assert rat_equal(ode.c0, normal_params_to_q(family_to_normal_params(f)))
 
 
+def test_family_to_normal_has_no_spurious_factor():
+    # q lies over prod (x - p)^2 at the family's finite singular points
+    # alone: x^2, x^2 (x-1)^2 and x^2 (x-1)^2 (x-a)^2
+    r = rng("q-degrees")
+    for _ in range(20):
+        for f, degrees in ((draw_bhe(r), (4, 2)), (draw_che(r), (4, 4)),
+                           (draw_ghe(r), (4, 6))):
+            q = family_to_normal(f).c0
+            assert (q.num.degree, q.den.degree) == degrees
+    f = BHEFamily(0.3 - 0.2j, 1.1)
+    n = family_to_normal_params(f)
+    assert family_to_normal(f).c0.num.coeffs == (
+        -n["E"], -n["D"], -n["C"], -n["B"], 1)
+
+
+def _extract_error(f) -> float:
+    """Largest error of the extracted pole coefficients of f's q, relative
+    to max(1, |coefficient|)."""
+    want = family_to_normal_params(f)
+    got = extract_normal_params(family_to_normal(f).c0, f.kind)
+    return max(abs(got[k] - v) / max(1.0, abs(v)) for k, v in want.values.items())
+
+
+def test_extract_ghe_accuracy():
+    # no common factor of q's numerator and denominator rounds the
+    # coefficients that extraction reads back
+    r = rng("extract-accuracy-GHE")
+    assert max(_extract_error(draw_ghe(r)) for _ in range(500)) <= 1e-12
+    # a detect draw at which the expanded q lost 8.8e-12
+    f = GHEFamily(1.5196324427616839, 1.9409796500756125, 0.688645613281488,
+                  -0.062168423068540646)
+    assert _extract_error(f) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # fixed and dependent parameter relations
 # ---------------------------------------------------------------------------
@@ -283,7 +317,7 @@ def test_extract_refuses_roots_away_from_the_singular_points():
     with pytest.raises(DomainError):
         extract_normal_params(q, "GHE", a=2.0)  # wrong third point
     with pytest.raises(DomainError):
-        # cofactor (x - 2.3)^3 (x - 4) is not a pure power of (x - a)
+        # cofactor (x - 2.3)^2 (x - 4) is not a pure power of (x - a)
         extract_normal_params(q + RatFun(0.3, poly_x(-4, 1)), "GHE")
     with pytest.raises(DomainError):
         extract_normal_params(q, "CHE")  # a pole at 2.3 is no CHE pole

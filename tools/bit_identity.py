@@ -71,9 +71,12 @@ index, as `tabulate`, `verify`, `verify:p` for the p-route, `cli` or
 `specialfns:hyp1f1`) and line kind (`member`, `row`, `report`, `normal`,
 ...) it prints the changed-line count and, for member and special-function
 lines, the worst change of the value or the derivative relative to
-max(|y|, |y'|) of the parent's line; then, per section and kind with a
-worst change, the parent's and the change's line that hold it; and it
-ends with one sentence that states where the dumps differ.
+max(|y|, |y'|) of the parent's line; then the changed-line count per
+family (BHE, CHE, GHE, read from a `cli:<kind>` tag or from the `draw` or
+`meta` line of the draw that the line belongs to, or `no family`); then,
+per section and kind with a worst change, the parent's and the change's
+line that hold it; and it ends with one sentence that states where the
+dumps differ.
 """
 from __future__ import annotations
 
@@ -448,15 +451,37 @@ def _rel_change(p: str, c: str) -> float | None:
     return max(abs(w - v), abs(e - d)) / max(abs(v), abs(d), 1e-300)
 
 
+_FAMILY = re.compile(r"\b(BHE|CHE|GHE)(?:Family)?\b")
+
+
+def _families(lines) -> list[str]:
+    """The family kind of each dump line: that of a `cli:<kind>` tag, or
+    of the last `draw` or `meta` line before it of the same tag (without
+    `:p`), since the lines of one draw are written together; else `no
+    family`."""
+    out, last = [], (None, "no family")
+    for line in lines:
+        tag, kind, rest = (line.split(" ", 2) + ["", ""])[:3]
+        base = tag.removesuffix(":p")
+        m = _FAMILY.search(rest) if kind in ("draw", "meta") else None
+        if m:
+            last = (base, m.group(1))
+        m = _FAMILY.search(tag)
+        out.append(m.group(1) if m else last[1] if last[0] == base
+                   else "no family")
+    return out
+
+
 def summary(parent_path: str, change_path: str) -> int:
-    """Print the changed lines per section and kind, the worst relative
-    change of member and special-function lines and the lines that hold
-    it, and one sentence; 0."""
+    """Print the changed lines per section and kind, the changed lines per
+    family, the worst relative change of member and special-function lines
+    and the lines that hold it, and one sentence; 0."""
     with open(parent_path) as fp, open(change_path) as fc:
         parent, change = fp.readlines(), fc.readlines()
     if len(parent) != len(change):
         print(f"the dumps have {len(parent)} and {len(change)} lines; the "
               f"first {min(len(parent), len(change))} are compared")
+    families, per_family = _families(parent), {}
     counts: dict[tuple[str, str], int] = {}
     worst: dict[tuple[str, str], float] = {}
     worst_at: dict[tuple[str, str], int] = {}
@@ -466,6 +491,8 @@ def summary(parent_path: str, change_path: str) -> int:
             continue
         key = (_section(pb), _kind(pb))
         counts[key] = counts.get(key, 0) + 1
+        fam = families[i - 1]
+        per_family[fam] = per_family.get(fam, 0) + 1
         d = _rel_change(pb, cb) if key[1] in ("member", "specialfns") else None
         if d is not None and d > worst.get(key, -1.0):
             worst[key], worst_at[key] = d, i
@@ -473,6 +500,8 @@ def summary(parent_path: str, change_path: str) -> int:
     for key, n in sorted(counts.items()):
         w = f"{worst[key]:.3g}" if key in worst else "-"
         print(f"{key[0]:24s} {key[1]:12s} {n:8d}  {w}")
+    print("changed lines per family: " + (", ".join(
+        f"{fam} {n}" for fam, n in sorted(per_family.items())) or "none"))
     for key, i in sorted(worst_at.items()):
         print(f"worst {key[0]} {key[1]} change {worst[key]:.3g}, line {i}:\n"
               f"- {parent[i - 1].rstrip()}\n+ {change[i - 1].rstrip()}")
