@@ -154,9 +154,13 @@ def make_basis(y1: Member, y2: Member, classification: str, family,
                valid_domain: str, formula: str, derived: dict,
                probe_point) -> SolutionBasis:
     """Assemble a SolutionBasis, probing linear independence at the first
-    workable probe point (DegenerateError when the Wronskian vanishes
-    relative to the member scale)."""
+    workable probe point: probe_point is one point or a list of candidates,
+    and an empty list is refused (ParamError). DegenerateError when the
+    Wronskian vanishes relative to the member scale."""
     candidates = probe_point if isinstance(probe_point, (list, tuple)) else [probe_point]
+    if not candidates:
+        raise ParamError(f"probe_point is an empty list ({probe_point!r}): "
+                         "no point to probe independence at")
     last_err: HeunAirError | None = None
     for p in candidates:
         p = as_complex(p)
@@ -282,33 +286,26 @@ def solve_bhe(f: BHEFamily) -> SolutionBasis:
 
     a0 = big_a - 1
 
-    # U and M at A and A - 1, b = 1/2, differentiated through their
+    # F = U or M at A and A - 1, b = 1/2, differentiated through their
     # contiguous relations (DLMF 13.3(ii)):
-    #   w U'(A) = (A - b + w) U(A) - U(A-1),
-    #   w U'(A-1) = (A-1)(A - b) U(A) - (A-1) U(A-1),
-    #   w M'(A) = (b - A) M(A-1) + (A - b + w) M(A),
-    #   w M'(A-1) = (A-1) (M(A) - M(A-1)).
-    def y1(x):
-        w = (x + sigma) ** 2
-        chain = 2 * (x + sigma)
-        f1, f0 = kummer_u(big_a, 0.5, w), kummer_u(a0, 0.5, w)
-        v1, v0 = f1.value, f0.value
-        u1 = pair_contiguous(f1, (big_a - 0.5 + w) * v1, -v0, w, chain)
-        u0 = pair_contiguous(f0, a0 * (big_a - 0.5) * v1, -a0 * v0, w, chain)
-        comb = pair_sub(pair_mul(lam_pair(x), u1), pair_scale(4, u0))
-        return pair_mul(prefactor(x), comb)
+    #   w F'(A) = (A - b + w) F(A) + c F(A-1),
+    #   w F'(A-1) = (A-1) e F(A) - (A-1) F(A-1),
+    # with (c, e) = (-1, A - b) for U and (b - A, 1) for M.
+    def member(fn, c, e, combine) -> Member:
+        def y(x):
+            w = (x + sigma) ** 2
+            chain = 2 * (x + sigma)
+            f1, f0 = fn(big_a, 0.5, w), fn(a0, 0.5, w)
+            v1, v0 = f1.value, f0.value
+            p1 = pair_contiguous(f1, (big_a - 0.5 + w) * v1, c * v0, w, chain)
+            p0 = pair_contiguous(f0, a0 * e * v1, -a0 * v0, w, chain)
+            return pair_mul(prefactor(x), combine(lam_pair(x), p1, p0))
+        return y
 
-    def y2(x):
-        w = (x + sigma) ** 2
-        chain = 2 * (x + sigma)
-        f1, f0 = hyp1f1(big_a, 0.5, w), hyp1f1(a0, 0.5, w)
-        v1, v0 = f1.value, f0.value
-        m1 = pair_contiguous(f1, (0.5 - big_a) * v0, (big_a - 0.5 + w) * v1,
-                             w, chain)
-        m0 = pair_contiguous(f0, a0 * v1, -a0 * v0, w, chain)
-        comb = pair_sub(pair_scale(tau * tau - sigma * sigma - 2, m0),
-                        pair_mul(lam_pair(x), m1))
-        return pair_mul(prefactor(x), comb)
+    y1 = member(kummer_u, -1, big_a - 0.5, lambda lam, u1, u0: pair_sub(
+        pair_mul(lam, u1), pair_scale(4, u0)))
+    y2 = member(hyp1f1, 0.5 - big_a, 1, lambda lam, m1, m0: pair_sub(
+        pair_scale(tau * tau - sigma * sigma - 2, m0), pair_mul(lam, m1)))
 
     return make_basis(
         *_checked(_check_general, y1, y2), CLASS_HYPERGEOMETRIC, f,
@@ -373,36 +370,29 @@ def solve_che(f: CHEFamily) -> SolutionBasis:
 
     mu, nu = che_whittaker_params(f)
 
-    # Whittaker functions at kappa = mu and mu - 1, differentiated through
-    # their contiguous relations (DLMF 13.15(ii)):
-    #   z M'_k = (k - z/2) M_k + (1/2 - k + nu) M_(k-1),
-    #   z M'_(k-1) = (1 - k + z/2) M_(k-1) + (k + nu - 1/2) M_k,
-    #   z W'_k = (k - z/2) W_k + (1/2 - k + nu)(1/2 - k - nu) W_(k-1),
-    #   z W'_(k-1) = (1 - k + z/2) W_(k-1) - W_k.
-    def y1(x):
-        chain = 2 * lam
-        z = 2 * lam * x
-        f1, f0 = whittaker("M", mu, nu, z), whittaker("M", mu - 1, nu, z)
-        v1, v0 = f1.value, f0.value
-        m1 = pair_contiguous(f1, (mu - z / 2) * v1, (0.5 - mu + nu) * v0,
-                             z, chain)
-        m0 = pair_contiguous(f0, (1 - mu + z / 2) * v0, (mu + nu - 0.5) * v1,
-                             z, chain)
-        comb = pair_add(pair_scale(lam * (tau + sigma), m1),
-                        pair_scale((1 - sigma) * lam - nu, m0))
-        return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
+    # Whittaker functions F = M or W at kappa = mu and mu - 1,
+    # differentiated through their contiguous relations (DLMF 13.15(ii)):
+    #   z F'_k = (k - z/2) F_k + c F_(k-1),
+    #   z F'_(k-1) = (1 - k + z/2) F_(k-1) + d F_k,
+    # with (c, d) = (1/2 - k + nu, k + nu - 1/2) for M and
+    # ((1/2 - k + nu)(1/2 - k - nu), -1) for W.
+    def member(kind, c, d, combine) -> Member:
+        def y(x):
+            chain = 2 * lam
+            z = 2 * lam * x
+            f1 = whittaker(kind, mu, nu, z)
+            f0 = whittaker(kind, mu - 1, nu, z)
+            v1, v0 = f1.value, f0.value
+            p1 = pair_contiguous(f1, (mu - z / 2) * v1, c * v0, z, chain)
+            p0 = pair_contiguous(f0, (1 - mu + z / 2) * v0, d * v1, z, chain)
+            return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), combine(p1, p0))
+        return y
 
-    def y2(x):
-        chain = 2 * lam
-        z = 2 * lam * x
-        f1, f0 = whittaker("W", mu, nu, z), whittaker("W", mu - 1, nu, z)
-        v1, v0 = f1.value, f0.value
-        w1 = pair_contiguous(
-            f1, (mu - z / 2) * v1, (0.5 - mu + nu) * (0.5 - mu - nu) * v0,
-            z, chain)
-        w0 = pair_contiguous(f0, (1 - mu + z / 2) * v0, -v1, z, chain)
-        comb = pair_add(w1, pair_scale(lam * (tau - sigma), w0))
-        return pair_mul(pair_pow((x - 1, 1.0 + 0j), -0.5), comb)
+    y1 = member("M", 0.5 - mu + nu, mu + nu - 0.5, lambda m1, m0: pair_add(
+        pair_scale(lam * (tau + sigma), m1),
+        pair_scale((1 - sigma) * lam - nu, m0)))
+    y2 = member("W", (0.5 - mu + nu) * (0.5 - mu - nu), -1, lambda w1, w0:
+                pair_add(w1, pair_scale(lam * (tau - sigma), w0)))
 
     return make_basis(
         *_checked(_check_che, y1, y2), CLASS_HYPERGEOMETRIC, f,

@@ -24,9 +24,9 @@ kernel also returns a cancellation estimate -- the peak magnitude reached by
 partial sums/terms divided by the final magnitude, so that the relative
 error is about SERIES_EPS times the estimate.
 
-_guarded tries up to three routes, in this order except for 2F1 and B_x
-near z = 1 (below), and returns the first value whose estimate is at most
-CANCEL_LIMIT (~1e-13 relative accuracy):
+_guarded tries a function's double-precision routes, given as one ordered
+tuple, and returns the first finite value whose estimate is at most
+CANCEL_LIMIT (~1e-13 relative accuracy), else the mpmath rerun:
 
 1. the kernel _k_*;
 2. for U, 2F1, B_x and Gamma(a, z) only, a second double-precision route
@@ -48,18 +48,19 @@ CANCEL_LIMIT (~1e-13 relative accuracy):
    mpmath is imported by the first rerun (_mp_ctx), not with the package,
    so a process whose every call the double routes answer never loads it.
 
-Within CONNECT_FIRST of z = 1 (_connect_first), 2F1 and B_x try the
-connection route before the kernel: there the Gauss series converges
-slowest, like |z|^n, while the route's two series in 1 - z converge
-within a few dozen terms. Elsewhere, a call that the kernel answers is
-unchanged by the second routes, and only a value that the kernel would
-have handed to the rerun can come from a second route instead: it then
-differs from the rerun's value in the last digits, by at most ~1e-13
-relative (tests/test_accuracy.py). In either order, a second route that
-overflows or raises a typed error declines to the next route; a kernel
-declines only where it overflows, and its typed errors (a refused input,
-the term cap) propagate. A rerun value beyond the doubles, above or
-below, raises NonFiniteError.
+Each public function builds its tuple at the call, from the module's
+names, for its value and its derivative. The kernel comes first, except
+within CONNECT_FIRST of z = 1, where 2F1 and B_x list the connection route
+first: there the Gauss series converges slowest, like |z|^n, while the
+route's two series in 1 - z converge within a few dozen terms. Elsewhere,
+a call that the kernel answers is unchanged by the second routes, and only
+a value that the kernel would have handed to the rerun can come from a
+second route instead: it then differs from the rerun's value in the last
+digits, by at most ~1e-13 relative (tests/test_accuracy.py). Any route
+that overflows inside declines to the next, and so does a second route
+that raises a typed error (_declines wraps each _k2_*); a kernel's typed
+errors (a refused input, the term cap) propagate. A rerun value beyond the
+doubles, above or below, raises NonFiniteError.
 
 mpmath's functions raise their own working precision while a sum cancels
 (F. Johansson et al., mpmath, https://mpmath.org), so a rerun is one pass
@@ -116,7 +117,9 @@ CONSECUTIVE_BELOW = 3
 #: Smallest positive double: the continued fractions' zero-denominator guard.
 TINY = 5e-324
 
-#: Cancellation estimate above which a kernel is re-run on mpmath scalars.
+#: Largest estimate (relative error over SERIES_EPS) at which _guarded keeps
+#: a double-precision route's value; above it the next route runs, and after
+#: the last one the mpmath rerun.
 CANCEL_LIMIT = 1e3
 
 #: Integer-proximity tolerance for parameter preconditions.
@@ -365,40 +368,33 @@ def _export_cancel(peak, mag_final) -> float:
     return c if c <= 1e300 else 1e300
 
 
-def _second_value(second, cap, args):
-    """The second route's value where its estimate is at most CANCEL_LIMIT,
-    else None: it declines, also where it raises a typed refusal or
-    overflows inside."""
-    try:
-        value, est = second(cap, *args)
-    except (HeunAirError, ArithmeticError):
-        return None
-    return value if cmath.isfinite(value) and est <= CANCEL_LIMIT else None
+def _declines(route):
+    """A second double-precision route that declines, returning _DECLINE,
+    where it raises a typed refusal or overflows inside; a kernel's typed
+    errors propagate instead."""
+    @functools.wraps(route)
+    def second(cap, *args):
+        try:
+            return route(cap, *args)
+        except (HeunAirError, ArithmeticError):
+            return _DECLINE
+    return second
 
 
-def _guarded(kernel, second, rerun, cap, *args, second_first=False) -> complex:
-    """Run a double-precision kernel under the term cap `cap`. When its
-    cancellation estimate says double precision was insufficient, or it
-    overflows (an ArithmeticError; its typed errors propagate), try the
-    second double-precision route `second` (None for none), and when that
-    declines or its own estimate exceeds CANCEL_LIMIT too, return
-    rerun(m, *args): one call of mpmath's own function on this thread's
-    private context m, NonFiniteError where its value overflows a double or
-    underflows to 0. With second_first, the second route runs before the
-    kernel instead, and declines to it in the same way."""
-    if second_first:
-        value = _second_value(second, cap, args)
-        if value is not None:
-            return value
-    try:
-        value, cancel = kernel(cap, *args)
-    except ArithmeticError:
-        value, cancel = _DECLINE  # an overflow inside the kernel: decline
-    if cmath.isfinite(value) and cancel <= CANCEL_LIMIT:
-        return value
-    if second is not None and not second_first:
-        value = _second_value(second, cap, args)
-        if value is not None:
+def _guarded(routes, rerun, cap, *args) -> complex:
+    """Try the double-precision routes in order under the term cap `cap`,
+    each returning (value, estimate), and return the first finite value
+    whose estimate is at most CANCEL_LIMIT; a route that overflows (an
+    ArithmeticError) declines to the next. When every route declines,
+    return rerun(m, *args): one call of mpmath's own function on this
+    thread's private context m, NonFiniteError where its value overflows a
+    double or underflows to 0."""
+    for route in routes:
+        try:
+            value, est = route(cap, *args)
+        except ArithmeticError:
+            continue
+        if cmath.isfinite(value) and est <= CANCEL_LIMIT:
             return value
     m = _mp_ctx()
     from mpmath.libmp import NoConvergence  # loaded by _mp_ctx
@@ -420,8 +416,8 @@ def _guarded(kernel, second, rerun, cap, *args, second_first=False) -> complex:
 
 def _sum_series(first, step, what, cap):
     """first + sum of the terms term = step(term, n), n = 0, 1, ..., at most
-    cap of them; returns (sum, peak), peak being the largest |term| or
-    |partial sum| reached."""
+    cap of them; returns (sum, cancel), the cancellation estimate being the
+    largest |term| or |partial sum| reached over |sum| (_export_cancel)."""
     term = s = first
     peak = abs(s)
     below = 0
@@ -437,7 +433,7 @@ def _sum_series(first, step, what, cap):
         if m_t <= SERIES_EPS * m_s:
             below += 1
             if below >= CONSECUTIVE_BELOW:
-                return s, peak
+                return s, _export_cancel(peak, m_s)
         else:
             below = 0
     raise ConvergenceError(f"{what} did not converge within {cap} terms")
@@ -468,10 +464,9 @@ def _lentz(b0, a_n, b_n, what, cap):
 
 def _k_1f1_series(cap, a, b, z):
     """Kummer series sum_n (a)_n/(b)_n z^n/n!; returns (sum, cancel)."""
-    s, peak = _sum_series(
+    return _sum_series(
         1 + 0j, lambda t, n: t * (a + n) / (b + n) * z / (n + 1),
         "1F1 series", cap)
-    return s, _export_cancel(peak, abs(s))
 
 
 @functools.lru_cache(maxsize=_MEMO_1F1)
@@ -556,6 +551,7 @@ _LAPLACE_RIGHT = _laplace_nodes(range(0, 49))
 _LAPLACE_LEFT = _laplace_nodes(range(-1, -41, -1))
 
 
+@_declines
 def _k2_kummer_u(cap, a, b, z):
     """U for Re z > 0 by the Laplace integral (DLMF 13.4.4) with s = z t,
     U(a, b, z) = z^-a / Gamma(a) int_0^inf e^-s s^(a-1) (1 + s/z)^(b-a-1) ds,
@@ -616,10 +612,9 @@ def _k2_kummer_u(cap, a, b, z):
 
 
 def _k_2f1_series(cap, a, b, c, z):
-    s, peak = _sum_series(
+    return _sum_series(
         1 + 0j, lambda t, n: t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z,
         "2F1 series", cap)
-    return s, _export_cancel(peak, abs(s))
 
 
 def _k_2f1(cap, a, b, c, z):
@@ -637,12 +632,7 @@ def _mp_2f1(m, a, b, c, z):
     return m.hyp2f1(a, b, c, z, zeroprec=m.prec)
 
 
-def _connect_first(z) -> bool:
-    """Whether 2F1 and B_x at z try the connection route before the kernel:
-    within CONNECT_FIRST of z = 1."""
-    return abs(1 - z) <= CONNECT_FIRST
-
-
+@_declines
 def _k2_2f1(cap, a, b, c, z):
     """2F1 by the 1 - z connection formula (DLMF 15.8.4, 15.10.21), for
     |1 - z| <= CONNECT_MAX: with s = c - a - b,
@@ -667,9 +657,8 @@ def _k2_2f1(cap, a, b, c, z):
 
 
 def _k_0f1(cap, b, z):
-    s, peak = _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)),
-                          "0F1 series", cap)
-    return s, _export_cancel(peak, abs(s))
+    return _sum_series(1 + 0j, lambda t, n: t * z / ((b + n) * (n + 1)),
+                       "0F1 series", cap)
 
 
 def _mp_0f1(m, b, z):
@@ -683,10 +672,10 @@ def _k_erf(cap, z):
     if az <= 3.0 or abs(z.real) < az / 4:
         # erf(z) = 2/sqrt(pi) sum_n (-1)^n z^(2n+1) / (n! (2n+1))
         z2 = z * z
-        s, peak = _sum_series(
+        s, cancel = _sum_series(
             z, lambda t, n: t * (-z2) * (2 * n + 1) / ((n + 1) * (2 * n + 3)),
             "erf series", cap)
-        return 2 / _SQRT_PI * s, _export_cancel(peak, abs(s))
+        return 2 / _SQRT_PI * s, cancel
     # 1/(sqrt(pi) e^(w^2) erfc w) = w + (1/2)/(w + 1/(w + (3/2)/(w + ...))), Re w > 0
     w = z if z.real > 0 else -z
     f = _lentz(w, lambda n: complex(n) / 2, lambda n: w,
@@ -721,12 +710,11 @@ def _k_igam_upper(cap, a, z):
     if _igam_by_fraction(a, z):
         return _legendre_igam(cap, a, z), 1.0
     # Gamma(a) - z^a e^(-z) sum_n z^n / (a (a+1) ... (a+n))
-    s, peak = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
-                          "incomplete-gamma series", cap)
+    s, series_cancel = _sum_series(1 / a, lambda t, n: t * z / (a + n + 1),
+                                   "incomplete-gamma series", cap)
     lower = principal_power(z, a) * cmath.exp(-z) * s
     g = gamma(a)
     v = g - lower
-    series_cancel = _export_cancel(peak, abs(s))
     peak_outer = abs(g) + abs(lower) * max(series_cancel, 1.0)
     return v, _export_cancel(peak_outer, abs(v))
 
@@ -735,6 +723,7 @@ def _mp_igam_upper(m, a, z):
     return m.gammainc(a, z)
 
 
+@_declines
 def _k2_igam_upper(cap, a, z):
     """Upper incomplete gamma where the series route cancels: for Re z > 0
     Legendre's continued fraction of _k_igam_upper at any |z|, which
@@ -758,6 +747,7 @@ def _k_inc_beta(cap, x, a, b):
     return principal_power(x, a) / a * f, cancel
 
 
+@_declines
 def _k2_inc_beta(cap, x, a, b):
     """The same through the 2F1 connection route."""
     f, est = _k2_2f1(cap, a, 1 - b, a + 1, x)
@@ -782,9 +772,9 @@ def hyp1f1(a, b, z) -> FnValue:
     if near_nonpositive_integer(b):
         raise ParamError(f"1F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
-    value = _guarded(_k_1f1, None, _mp_1f1, cap, a, b, z)
+    value = _guarded((_k_1f1,), _mp_1f1, cap, a, b, z)
     return FnValue(value, thunk=lambda: (a / b) * _guarded(
-        _k_1f1, None, _mp_1f1, cap, a + 1, b + 1, z))
+        (_k_1f1,), _mp_1f1, cap, a + 1, b + 1, z))
 
 
 def kummer_u(a, b, z) -> FnValue:
@@ -799,10 +789,10 @@ def kummer_u(a, b, z) -> FnValue:
         raise ParamError(f"U connection formula degenerate: b = {b!r} at an integer")
     if z == 0:
         raise DomainError("U undefined at z = 0")
-    cap = max_terms()
-    value = _guarded(_k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a, b, z)
+    cap, routes = max_terms(), (_k_kummer_u, _k2_kummer_u)
+    value = _guarded(routes, _mp_kummer_u, cap, a, b, z)
     return FnValue(value, thunk=lambda: -a * _guarded(
-        _k_kummer_u, _k2_kummer_u, _mp_kummer_u, cap, a + 1, b + 1, z))
+        routes, _mp_kummer_u, cap, a + 1, b + 1, z))
 
 
 def hyp2f1(a, b, c, z) -> FnValue:
@@ -819,12 +809,12 @@ def hyp2f1(a, b, c, z) -> FnValue:
         raise ParamError(f"2F1 undefined: c = {c!r} at a nonpositive integer")
     if abs(z) >= 1.0:
         raise DomainError(f"2F1 series domain is |z| < 1, got |z| = {abs(z):.6g}")
-    cap, first = max_terms(), _connect_first(z)
-    value = _guarded(_k_2f1, _k2_2f1, _mp_2f1, cap, a, b, c, z,
-                     second_first=first)
+    cap = max_terms()
+    routes = ((_k2_2f1, _k_2f1) if abs(1 - z) <= CONNECT_FIRST
+              else (_k_2f1, _k2_2f1))
+    value = _guarded(routes, _mp_2f1, cap, a, b, c, z)
     return FnValue(value, thunk=lambda: (a * b / c) * _guarded(
-        _k_2f1, _k2_2f1, _mp_2f1, cap, a + 1, b + 1, c + 1, z,
-        second_first=first))
+        routes, _mp_2f1, cap, a + 1, b + 1, c + 1, z))
 
 
 def hyp0f1(b, z) -> FnValue:
@@ -833,9 +823,9 @@ def hyp0f1(b, z) -> FnValue:
     if near_nonpositive_integer(b):
         raise ParamError(f"0F1 undefined: b = {b!r} at a nonpositive integer")
     cap = max_terms()
-    value = _guarded(_k_0f1, None, _mp_0f1, cap, b, z)
+    value = _guarded((_k_0f1,), _mp_0f1, cap, b, z)
     return FnValue(value, thunk=lambda: (1 / b) * _guarded(
-        _k_0f1, None, _mp_0f1, cap, b + 1, z))
+        (_k_0f1,), _mp_0f1, cap, b + 1, z))
 
 
 def whittaker(kind: str, mu, nu, z) -> FnValue:
@@ -867,10 +857,10 @@ def erf_like(kind: str, z) -> FnValue:
             f"erf/erfi guaranteed only for |z| <= {ERF_MAX_ABS:g}, got |z| = {abs(z):.6g}")
     cap = max_terms()
     if kind == "erf":
-        value = _guarded(_k_erf, None, _mp_erf, cap, z)
+        value = _guarded((_k_erf,), _mp_erf, cap, z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(-z * z)
     else:
-        value = -1j * _guarded(_k_erf, None, _mp_erf, cap, 1j * z)
+        value = -1j * _guarded((_k_erf,), _mp_erf, cap, 1j * z)
         deriv = 2.0 / math.sqrt(math.pi) * cmath.exp(z * z)
     return FnValue(value, deriv)
 
@@ -895,7 +885,8 @@ def inc_gamma_upper(a, z) -> FnValue:
     if near_nonpositive_integer(a) and not _igam_by_fraction(a, z):
         raise ParamError(
             f"Gamma(a, z) series route undefined at nonpositive integer a = {a!r}")
-    value = _guarded(_k_igam_upper, _k2_igam_upper, _mp_igam_upper, max_terms(), a, z)
+    value = _guarded((_k_igam_upper, _k2_igam_upper), _mp_igam_upper,
+                     max_terms(), a, z)
     return FnValue(value, thunk=lambda: -principal_power(z, a - 1) * cmath.exp(-z))
 
 
@@ -915,7 +906,8 @@ def inc_beta(x, a, b) -> FnValue:
         raise BranchError(f"B_x undefined for real x >= 1, got x = {x.real:.6g}")
     if abs(x) >= 1.0:
         raise DomainError(f"B_x series domain is |x| < 1, got |x| = {abs(x):.6g}")
-    value = _guarded(_k_inc_beta, _k2_inc_beta, _mp_inc_beta, max_terms(),
-                     x, a, b, second_first=_connect_first(x))
+    routes = ((_k2_inc_beta, _k_inc_beta) if abs(1 - x) <= CONNECT_FIRST
+              else (_k_inc_beta, _k2_inc_beta))
+    value = _guarded(routes, _mp_inc_beta, max_terms(), x, a, b)
     return FnValue(value, thunk=lambda: (principal_power(x, a - 1)
                                         * principal_power(1 - x, b - 1)))

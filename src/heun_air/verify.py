@@ -305,11 +305,12 @@ def rk45_compare(ode: LinearODE, basis: SolutionBasis, x0, interval,
 def verify_basis(ode: LinearODE, basis: SolutionBasis, xs, rk_window=None,
                  residual_tol: float = RESIDUAL_TOL,
                  breaks=()) -> VerificationReport:
-    """Run residual + Wronskian (+ optionally RK) checks and aggregate; each
-    RK window is integrated from its midpoint. `breaks` are real points
-    across which the members continue as other solutions (the BHE general
-    branch's x = -sigma): the Wronskian is checked within each interval
-    between them."""
+    """Run residual + Wronskian (+ optionally RK) checks and aggregate.
+    rk_window is one window (lo, hi) or a sequence of them, each integrated
+    from its midpoint; None or an empty sequence runs no RK check. `breaks`
+    are real points across which the members continue as other solutions
+    (the BHE general branch's x = -sigma): the Wronskian is checked within
+    each interval between them."""
     report = VerificationReport(family=basis.family)
     res_rows = residual_check(ode, basis, xs, tol=residual_tol)
     report.rows.extend(res_rows)
@@ -327,8 +328,8 @@ def verify_basis(ode: LinearODE, basis: SolutionBasis, xs, rk_window=None,
         vals = [r.value for r in w_rows if r.value == r.value]
         report.wronskian_drift = max(vals) if vals else float("nan")
 
-    if rk_window is not None:
-        if rk_window and isinstance(rk_window[0], (tuple, list)):
+    if rk_window is not None and len(rk_window):
+        if isinstance(rk_window[0], (tuple, list)):
             windows = list(rk_window)
         else:
             windows = [rk_window]

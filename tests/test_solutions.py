@@ -293,6 +293,14 @@ def test_make_basis_degenerate_and_error_propagation():
                    {}, [0.5, 1.0])
 
 
+def test_make_basis_refuses_an_empty_probe_list():
+    def member(x):
+        return cmath.exp(x), cmath.exp(x)
+
+    with pytest.raises(ParamError, match="empty"):
+        make_basis(member, member, "Liouvillian", None, "all x", "none", {}, [])
+
+
 # ---------------------------------------------------------------------------
 # companion-route constructor
 # ---------------------------------------------------------------------------
@@ -427,6 +435,40 @@ def test_cancelling_gauss_relation_reads_the_direct_derivative(monkeypatch):
     pg, pf = solutions._gauss_pairs(g, f, al, be, ga, x)
     assert pg == solutions.pair_fn(hyp2f1(al + 1, be + 1, ga + 1, x))
     assert pf == (f.value, al * be / ga * g.value)
+
+
+#: (family, then per x in MEMBER_HEX_XS the pair (y1, y2) as float.hex of
+#: Re y, Im y, Re y', Im y'): the general-branch members at 5526e2e, before
+#: each family's two member bodies became one. BHE's y2 has imaginary parts
+#: that are exactly -0.0, which the CSV prints as -0.
+MEMBER_HEX_XS = (0.5, 1.5, 2.5)
+MEMBER_HEX = [
+    (BHEFamily(0.3, 0.9), (
+        (("-0x1.9031856d7eeabp+1", "0x0.0p+0", "0x1.b99f214b07a3ep+2", "0x0.0p+0"),
+         ("0x1.47bea8b00983ap+0", "-0x0.0p+0", "-0x1.495d8ed4d19e2p+2", "0x0.0p+0")),
+        (("-0x1.74a98995d9af9p-2", "0x0.0p+0", "0x1.b75f0af50714bp-1", "0x0.0p+0"),
+         ("-0x1.0f628d12b4682p+2", "-0x0.0p+0", "-0x1.3e0aed0f83da2p+3", "0x0.0p+0")),
+        (("-0x1.823e4732d0632p-6", "0x0.0p+0", "0x1.2fee1d85f6325p-4", "0x0.0p+0"),
+         ("-0x1.9a5fa647a1429p+5", "-0x0.0p+0", "-0x1.24a7e3e3ad32fp+7", "0x0.0p+0")))),
+    (CHEFamily(0.8, 0.2, 0.6), (
+        (("0x1.741fb9d7ad0f8p-56", "-0x1.515ad860078cbp-2",
+          "0x1.a8cca48276a39p-54", "-0x1.b0dcc6c0e254ep-1"),
+         ("0x1.8626a2094d241p-54", "-0x1.61b29001daf43p+0",
+          "0x1.479c2d3a8cc13p-52", "-0x1.e09afd8a13427p+0")),
+        (("0x1.64ca9d0e1d5c0p-2", "0x0.0p+0", "-0x1.96b7d65c80a64p-1", "0x0.0p+0"),
+         ("0x1.7168da64aa5bap+0", "0x0.0p+0", "-0x1.b66901480c762p+0", "0x0.0p+0")),
+        (("-0x1.3978bedcc549ap-2", "0x0.0p+0", "-0x1.584d333cbdd3dp-1", "0x0.0p+0"),
+         ("0x1.39f94a0efa4b2p-1", "0x0.0p+0", "-0x1.caf823088ca3cp-2", "0x0.0p+0")))),
+]
+
+
+@pytest.mark.parametrize("f, want", MEMBER_HEX, ids=["BHE", "CHE"])
+def test_general_members_pinned_bit_for_bit(f, want):
+    # float.hex tells the sign of a zero, so a change to the member bodies
+    # that flips one fails here
+    basis = solve_family(f)
+    got = [(_hex(*basis.y1(x)), _hex(*basis.y2(x))) for x in MEMBER_HEX_XS]
+    assert got == [tuple(pair) for pair in want]
 
 
 def test_pair_contiguous_falls_back_where_the_sum_cancels():

@@ -690,6 +690,15 @@ RERUN_CASES = [
 SECOND_ROUTES = ("_k2_kummer_u", "_k2_2f1", "_k2_igam_upper", "_k2_inc_beta")
 
 
+def test_second_routes_names_every_second_route():
+    # no_second_routes forces the rerun only if it stubs every _k2_* route,
+    # and each of them declines on a typed refusal (_declines)
+    names = {n for n in vars(specialfns) if n.startswith("_k2_")}
+    assert names == set(SECOND_ROUTES)
+    for name in SECOND_ROUTES:
+        assert hasattr(getattr(specialfns, name), "__wrapped__")
+
+
 @pytest.fixture
 def no_second_routes(monkeypatch):
     """Every second route declines, so that a cancelling kernel reruns."""

@@ -244,6 +244,15 @@ def test_verify_basis_passes_for_each_family(f, windows):
     assert report.points_checked == len(report.rows) > 0
 
 
+def test_verify_basis_empty_window_list_runs_no_rk():
+    # an empty list of RK windows is no RK check, as rk_window=None
+    ode, basis = EXP_ODE, _exp_pair()
+    report = verify_basis(ode, basis, XS, rk_window=[])
+    assert not any(r.check == "rk45" for r in report.rows)
+    assert report.rows == verify_basis(ode, basis, XS).rows
+    assert report.status == "pass"
+
+
 def test_verify_basis_partial_on_refused_points():
     f = BHEFamily(1.0, -0.35)
     report = verify_basis(family_to_normal(f), solve_family(f),
